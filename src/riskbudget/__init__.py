@@ -71,6 +71,7 @@ from .solver import (
     ConeProgram,
     ConeSolution,
     ProgramValidationError,
+    RowMatrix,
     SolveStatus,
     SolverOptions,
     dump_program,

@@ -24,7 +24,7 @@ import numpy as np
 from .budgeting import risk_contributions
 from .cones import NonNeg, SecondOrder, Zero
 from .linalg import cholesky
-from .solver import ConeProgram, ConeSolution, SolveStatus, SolverOptions, solve
+from .solver import ConeProgram, ConeSolution, RowMatrix, SolveStatus, SolverOptions, solve
 
 __all__ = [
     "AllocationProblem",
@@ -152,6 +152,11 @@ def build_program(problem: AllocationProblem) -> ConeProgram:
     Each asset contributes one second-order block of dimension n+2; the
     intermediate products ``Cx`` and ``Rx`` are substituted directly into
     the cone rows rather than materialized as variables.
+
+    ``A`` is emitted in row form: every row is a signed or scaled copy of
+    a row of ``K = [I; budget row; turnover rows; I + C; I - C; R]``
+    (about 7n rows), so the program takes O(n^2) memory although ``A``
+    has n(n+2) cone rows of 3n+1 columns.
     """
     problem.validate()
     c = problem.cov
@@ -171,54 +176,57 @@ def build_program(problem: AllocationProblem) -> ConeProgram:
     if has_d:
         obj[d_col:] = problem.mu
 
-    rows, rhs, cones = [], [], []
-
-    def add(kind, block, r):
-        rows.append(np.atleast_2d(block))
-        rhs.append(np.atleast_1d(np.asarray(r, dtype=float)))
-        cones.append(kind(np.atleast_2d(block).shape[0]))
-
-    budget_row = np.zeros(nv)
-    budget_row[:n] = 1.0
-    add(Zero, budget_row, 1.0)
-
+    # K rows: unit rows, the budget row, the turnover rows (when mu > 0),
+    # then I + C, I - C and R in the first n columns
+    unit, budget, turn = 0, nv, nv + 1
+    ipc = turn + (n if has_d else 0)
+    imc, rrow = ipc + n, ipc + 2 * n
+    arange = np.arange(n)
+    kmat = np.zeros((rrow + n, nv))
+    kmat[np.arange(nv), np.arange(nv)] = 1.0
+    kmat[budget, :n] = 1.0
     if has_d:
-        blk = np.zeros((n, nv))
-        blk[:, :n] = np.eye(n)
-        blk[:, d_col : d_col + n] = -np.eye(n)
-        blk[:, d_col + n :] = np.eye(n)
-        add(Zero, blk, problem.prev_weights)
+        kmat[turn + arange, arange] = 1.0
+        kmat[turn + arange, d_col + arange] = -1.0
+        kmat[turn + arange, d_col + n + arange] = 1.0
+    eye = np.eye(n)
+    kmat[ipc:imc, :n] = eye + c
+    kmat[imc:rrow, :n] = eye - c
+    kmat[rrow:, :n] = upper
 
-    lower_blk = np.zeros((n, nv))
-    lower_blk[:, :n] = -np.eye(n)
-    add(NonNeg, lower_blk, -problem.lower)
-    finite_u = np.isfinite(problem.upper)
-    if np.any(finite_u):
-        idx = np.flatnonzero(finite_u)
-        blk = np.zeros((idx.size, nv))
-        blk[np.arange(idx.size), idx] = 1.0
-        add(NonNeg, blk, problem.upper[idx])
+    idx, scale, rhs, cones = [], [], [], []
+
+    def add(kind, rows, factor, r):
+        rows = np.atleast_1d(rows)
+        idx.append(rows)
+        scale.append(np.full(rows.shape, factor, dtype=float))
+        rhs.append(np.full(rows.shape, r, dtype=float))
+        cones.append(kind(rows.size))
+
+    add(Zero, budget, 1.0, 1.0)
     if has_d:
-        blk = np.zeros((2 * n, nv))
-        blk[:, d_col:] = -np.eye(2 * n)
-        add(NonNeg, blk, np.zeros(2 * n))
-
+        add(Zero, turn + arange, 1.0, problem.prev_weights)
+    add(NonNeg, unit + arange, -1.0, -problem.lower)
+    finite_u = np.flatnonzero(np.isfinite(problem.upper))
+    if finite_u.size:
+        add(NonNeg, unit + finite_u, 1.0, problem.upper[finite_u])
+    if has_d:
+        add(NonNeg, unit + d_col + np.arange(2 * n), -1.0, 0.0)
     if has_t:
-        blk = np.zeros((n + 1, nv))
-        blk[0, t_col] = -1.0
-        blk[1:, :n] = -upper
-        add(SecondOrder, blk, np.zeros(n + 1))
+        add(SecondOrder, np.concatenate(([unit + t_col], rrow + arange)), -1.0, 0.0)
 
-    for i in range(n):
-        blk = np.zeros((n + 2, nv))
-        ei = np.zeros(n)
-        ei[i] = 1.0
-        blk[0, :n] = -(ei + c[i])
-        blk[1, :n] = -(ei - c[i])
-        blk[2:, :n] = -2.0 * np.sqrt(problem.budgets[i]) * upper
-        add(SecondOrder, blk, np.zeros(n + 2))
+    # asset i: rows -(e_i + C_i), -(e_i - C_i), -2 sqrt(b_i) R
+    idx.append(np.column_stack([ipc + arange, imc + arange,
+                                np.tile(rrow + arange, (n, 1))]).ravel())
+    factors = np.empty((n, n + 2))
+    factors[:, :2] = -1.0
+    factors[:, 2:] = (-2.0 * np.sqrt(problem.budgets))[:, None]
+    scale.append(factors.ravel())
+    rhs.append(np.zeros(n * (n + 2)))
+    cones.extend([SecondOrder(n + 2)] * n)
 
-    return ConeProgram(c=obj, A=np.vstack(rows), b=np.concatenate(rhs), cones=tuple(cones))
+    a = RowMatrix(kmat, np.concatenate(idx), np.concatenate(scale))
+    return ConeProgram(c=obj, A=a, b=np.concatenate(rhs), cones=tuple(cones))
 
 
 def _infeasibility_report(problem: AllocationProblem) -> list[str]:

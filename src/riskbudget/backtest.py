@@ -26,7 +26,7 @@ import numpy as np
 
 from .allocation import AllocationError, AllocationProblem, solve_allocation
 from .data import WeeklyPanel, returns as panel_returns
-from .linalg import NotPositiveDefinite, covariance, symmetric_eig
+from .linalg import NotPositiveDefinite, covariance, nearest_psd, symmetric_eig
 from .solver import SolverOptions
 
 __all__ = [
@@ -174,11 +174,10 @@ def prepare_covariance(history, psd_eps: float | None = None) -> np.ndarray:
     s = covariance(history)
     eps = psd_eps if psd_eps is not None else 1e-8 * float(np.mean(np.diag(s)))
     eps = max(eps, 1e-16)
-    w, v = symmetric_eig(s)
+    w, _ = symmetric_eig(s)
     if w[0] >= eps:
         return s
-    out = (v * np.maximum(w, eps)) @ v.T
-    return 0.5 * (out + out.T)
+    return nearest_psd(s, eps)
 
 
 def strategy_weights(t: int, state: EngineState, cfg: BacktestConfig) -> tuple[np.ndarray, float]:

@@ -47,7 +47,10 @@ class ConeStructure:
 
     Positions are relative to the stacked *cone rows only* (Zero rows
     removed, original order preserved, so SecondOrder blocks stay
-    contiguous).
+    contiguous). Per-block quantities are segmented sums over the whole
+    vector (``np.add.reduceat`` at the block starts) with 0/1 and sign
+    masks that vanish off the second-order rows, so no operation loops
+    over blocks in Python.
     """
 
     def __init__(self, blocks):
@@ -71,11 +74,41 @@ class ConeStructure:
         # barrier degree: 1 per nonneg component, 1 per second-order block
         self.degree = len(nn_idx) + len(soc_slices)
 
+        dims = [hi - lo for lo, hi in soc_slices]
+        self.soc_starts = np.asarray([lo for lo, _ in soc_slices], dtype=int)
+        self.soc_rows = np.concatenate([np.arange(lo, hi) for lo, hi in soc_slices]
+                                       or [np.zeros(0, dtype=int)])
+        # block number of each second-order row (0 on nonneg rows, which
+        # every use masks out) and J = diag(1, -I) per block, 0 elsewhere
+        self.block = np.zeros(pos, dtype=int)
+        self.block[self.soc_rows] = np.repeat(np.arange(len(dims)), dims)
+        self.tail = np.zeros(pos, dtype=bool)
+        self.tail[self.soc_rows] = True
+        self.tail[self.soc_starts] = False
+        self.jsign = np.zeros(pos)
+        self.jsign[self.soc_rows] = -1.0
+        self.jsign[self.soc_starts] = 1.0
+        self._tailf = self.tail.astype(float)
+        # row of each row's block head (nonneg rows point at themselves)
+        self._head = np.arange(pos)
+        self._head[self.soc_rows] = self.soc_starts[self.block[self.soc_rows]]
+
+    def blocksum(self, u: np.ndarray) -> np.ndarray:
+        """Per second-order block sums of ``u``, which vanishes off those rows."""
+        return np.add.reduceat(u, self.soc_starts)
+
+    def jdot(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """Per second-order block ``u0 v0 - u1'v1``."""
+        return self.blocksum(self.jsign * u * v)
+
+    def tail_dot(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """Per second-order block ``u1'v1``."""
+        return self.blocksum(self._tailf * u * v)
+
     def identity(self) -> np.ndarray:
         e = np.zeros(self.dim)
         e[self.nn_idx] = 1.0
-        for lo, _hi in self.soc_slices:
-            e[lo] = 1.0
+        e[self.soc_starts] = 1.0
         return e
 
     def margin(self, u: np.ndarray) -> float:
@@ -83,32 +116,30 @@ class ConeStructure:
         m = np.inf
         if self.nn_idx.size:
             m = min(m, float(np.min(u[self.nn_idx])))
-        for lo, hi in self.soc_slices:
-            m = min(m, float(u[lo] - np.linalg.norm(u[lo + 1 : hi])))
+        if self.soc_starts.size:
+            tails = np.sqrt(self.tail_dot(u, u))
+            m = min(m, float(np.min(u[self.soc_starts] - tails)))
         return m
 
     def prod(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         """Jordan product u o v, blockwise."""
-        out = np.empty(self.dim)
-        out[self.nn_idx] = u[self.nn_idx] * v[self.nn_idx]
-        for lo, hi in self.soc_slices:
-            u0, u1 = u[lo], u[lo + 1 : hi]
-            v0, v1 = v[lo], v[lo + 1 : hi]
-            out[lo] = u0 * v0 + u1 @ v1
-            out[lo + 1 : hi] = u0 * v1 + v0 * u1
+        out = u * v
+        if self.soc_starts.size:
+            head = self._head
+            out = np.where(self.tail, u[head] * v + v[head] * u, out)
+            out[self.soc_starts] += self.tail_dot(u, v)
         return out
 
     def div(self, lmbda: np.ndarray, d: np.ndarray) -> np.ndarray:
         """Solve lmbda o w = d for w, blockwise."""
         out = np.empty(self.dim)
         out[self.nn_idx] = d[self.nn_idx] / lmbda[self.nn_idx]
-        for lo, hi in self.soc_slices:
-            l0, l1 = lmbda[lo], lmbda[lo + 1 : hi]
-            d0, d1 = d[lo], d[lo + 1 : hi]
-            det = l0 * l0 - l1 @ l1
-            w0 = (l0 * d0 - l1 @ d1) / det
-            out[lo] = w0
-            out[lo + 1 : hi] = (d1 - w0 * l1) / l0
+        if self.soc_starts.size:
+            blk, rows = self.block, self.soc_rows
+            w0 = self.jdot(lmbda, d) / self.jdot(lmbda, lmbda)
+            l0 = lmbda[self.soc_starts]
+            out[rows] = ((d - w0[blk] * lmbda) / l0[blk])[rows]
+            out[self.soc_starts] = w0
         return out
 
     def max_step(self, u: np.ndarray, du: np.ndarray) -> float:
@@ -119,31 +150,26 @@ class ConeStructure:
             neg = dn < 0
             if np.any(neg):
                 alpha = min(alpha, float(np.min(-un[neg] / dn[neg])))
-        for lo, hi in self.soc_slices:
-            alpha = min(alpha, _soc_step(u[lo], u[lo + 1 : hi], du[lo], du[lo + 1 : hi]))
+        if self.soc_starts.size:
+            alpha = min(alpha, _soc_max_step(self.jdot(du, du), 2.0 * self.jdot(u, du),
+                                             self.jdot(u, u)))
         return alpha
 
 
-def _soc_step(u0, u1, d0, d1) -> float:
-    # boundary crossing of (u0 + a d0)^2 - ||u1 + a d1||^2 for interior u
-    a = d0 * d0 - d1 @ d1
-    b = 2.0 * (u0 * d0 - u1 @ d1)
-    c = u0 * u0 - u1 @ u1
-    if c <= 0:  # numerically at/over the boundary already
+def _soc_max_step(a, b, c) -> float:
+    # first boundary crossing t > 0, over all blocks, of
+    # (u0 + t d0)^2 - ||u1 + t d1||^2 = a t^2 + b t + c for interior u:
+    # the smallest positive one of the stable roots q/a and c/q. With
+    # c > 0, a negative discriminant needs b > 0 (the line never leaves the
+    # cone), where both roots come out negative; a = 0 leaves the linear
+    # root c/q = -c/b.
+    if (c <= 0).any():  # numerically at/over the boundary already
         return 0.0
-    if abs(a) < 1e-300:
-        return -c / b if b < 0 else np.inf
-    disc = b * b - 4.0 * a * c
-    if a > 0:
-        if disc < 0 or b >= 0:
-            return np.inf
-        q = -0.5 * (b - np.sqrt(disc))
-        # both roots positive; smaller one is c/q
-        return c / q
-    # a < 0: exactly one positive root
-    q = -0.5 * (b + np.copysign(np.sqrt(disc), b if b != 0 else 1.0))
-    roots = [r for r in (q / a, c / q if q != 0 else np.inf) if r > 0]
-    return min(roots) if roots else np.inf
+    q = -0.5 * (b + np.copysign(np.sqrt(np.maximum(b * b - 4.0 * a * c, 0.0)), b))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        roots = np.concatenate([q / a, c / q])
+    roots = roots[roots > 0]
+    return float(roots.min()) if roots.size else np.inf
 
 
 class NTScaling:
@@ -159,100 +185,104 @@ class NTScaling:
     def __init__(self, struct: ConeStructure, s: np.ndarray, z: np.ndarray):
         self.struct = struct
         self.w_nn = np.sqrt(s[struct.nn_idx] / z[struct.nn_idx])
-        k = len(struct.soc_slices)
-        self.eta = np.empty(k)
+        self.eta = np.zeros(struct.soc_starts.size)
+        self.vtv = np.zeros(struct.soc_starts.size)
         self.v_all = np.zeros(struct.dim)  # concatenated v per block, zero elsewhere
-        for i, (lo, hi) in enumerate(struct.soc_slices):
-            s0, s1 = s[lo], s[lo + 1 : hi]
-            z0, z1 = z[lo], z[lo + 1 : hi]
-            ds = np.sqrt(s0 * s0 - s1 @ s1)
-            dz = np.sqrt(z0 * z0 - z1 @ z1)
-            sb = np.concatenate(([s0], s1)) / ds
-            zb = np.concatenate(([z0], z1)) / dz
-            gamma = np.sqrt(0.5 * (1.0 + sb @ zb))
-            wb = sb.copy()
-            wb[0] += zb[0]
-            wb[1:] -= zb[1:]
-            wb /= 2.0 * gamma
+        if struct.soc_starts.size:
+            blk, starts = struct.block, struct.soc_starts
+            ds = np.sqrt(struct.jdot(s, s))
+            dz = np.sqrt(struct.jdot(z, z))
+            sb = s / ds[blk]
+            zb = z / dz[blk]
+            gamma = np.sqrt(0.5 * (1.0 + sb[starts] * zb[starts] + struct.tail_dot(sb, zb)))
+            wb = (sb + struct.jsign * zb) / (2.0 * gamma[blk])
             # v is the Jordan square root of the unit-determinant point wb,
             # so that W = eta (2 v v' - J) satisfies W^2 z = s exactly
-            v = wb.copy()
-            v[0] = np.sqrt(0.5 * (wb[0] + 1.0))
-            v[1:] = wb[1:] / (2.0 * v[0])
-            self.eta[i] = np.sqrt(ds / dz)
-            self.v_all[lo:hi] = v
-        if k:
-            self._starts = np.asarray([lo for lo, _ in struct.soc_slices])
-            self._rep = np.zeros(struct.dim, dtype=int)
-            self._mask = np.zeros(struct.dim, dtype=bool)
-            self._tail = np.zeros(struct.dim, dtype=bool)
-            for i, (lo, hi) in enumerate(struct.soc_slices):
-                self._rep[lo:hi] = i
-                self._mask[lo:hi] = True
-                self._tail[lo + 1 : hi] = True
-            self._jv_all = np.where(self._tail, -self.v_all, self.v_all)
+            v0 = np.sqrt(0.5 * (wb[starts] + 1.0))
+            v = np.where(struct.tail, wb / (2.0 * v0[blk]), v0[blk])
+            self.v_all[struct.soc_rows] = v[struct.soc_rows]
+            self.eta = np.sqrt(ds / dz)
+            self.vtv = struct.blocksum(self.v_all * self.v_all)
+        self._jv_all = struct.jsign * self.v_all
         self.lmbda = self.apply(z)
 
     def _soc_part(self, u, vecs, scale):
         # scale_k * (2 vec_k (vec_k' u_k) - J u_k) stacked over blocks
-        dots = np.add.reduceat(vecs * u, self._starts)
-        ju = np.where(self._tail, -u, u)
-        return scale[self._rep] * (2.0 * vecs * dots[self._rep] - ju)
+        st = self.struct
+        dots = st.blocksum(vecs * u)
+        ju = np.where(st.tail, -u, u)
+        return scale[st.block] * (2.0 * vecs * dots[st.block] - ju)
+
+    def _combine(self, u, d_nn, soc):
+        out = np.zeros(self.struct.dim)
+        out[self.struct.nn_idx] = d_nn * u[self.struct.nn_idx]
+        if self.eta.size:
+            rows = self.struct.soc_rows
+            out[rows] = soc[rows]
+        return out
 
     def apply(self, u: np.ndarray) -> np.ndarray:
         """W u."""
-        out = np.zeros(self.struct.dim)
-        out[self.struct.nn_idx] = self.w_nn * u[self.struct.nn_idx]
-        if self.eta.size:
-            soc = self._soc_part(u, self.v_all, self.eta)
-            out[self._mask] = soc[self._mask]
-        return out
+        soc = self._soc_part(u, self.v_all, self.eta) if self.eta.size else None
+        return self._combine(u, self.w_nn, soc)
 
     def apply_inv(self, u: np.ndarray) -> np.ndarray:
         """W^{-1} u."""
-        out = np.zeros(self.struct.dim)
-        out[self.struct.nn_idx] = u[self.struct.nn_idx] / self.w_nn
-        if self.eta.size:
-            soc = self._soc_part(u, self._jv_all, 1.0 / self.eta)
-            out[self._mask] = soc[self._mask]
-        return out
+        soc = self._soc_part(u, self._jv_all, 1.0 / self.eta) if self.eta.size else None
+        return self._combine(u, 1.0 / self.w_nn, soc)
 
-    def gram(self, g: np.ndarray, soc_grams=None) -> np.ndarray:
-        """Assemble H = G' W^{-2} G for a dense G with rows on cone rows.
+    def _square(self, u, p, q, scale2):
+        # scale2_k * (u + 4 (v'v)(p'u) p - 2 (q'u) p - 2 (p'u) q) per block:
+        # W^2 with (p, q) = (v, Jv), W^{-2} with (Jv, v)
+        st = self.struct
+        pu = st.blocksum(p * u)
+        qu = st.blocksum(q * u)
+        blk = st.block
+        return scale2[blk] * (u + (4.0 * self.vtv * pu - 2.0 * qu)[blk] * p - 2.0 * pu[blk] * q)
 
-        ``soc_grams`` optionally carries the precomputed stack of G_k' G_k
-        per SecondOrder block (constant across iterations, shape
-        ``(k, n, n)``); without it the per-block Grams are formed on the
-        fly. W^{-2} per block is identity plus rank two, so the varying
-        part reduces to one thin matrix product.
+    def apply_sq(self, u: np.ndarray) -> np.ndarray:
+        """W^2 u in one pass."""
+        soc = self._square(u, self.v_all, self._jv_all, self.eta**2) if self.eta.size else None
+        return self._combine(u, self.w_nn**2, soc)
+
+    def apply_inv_sq(self, u: np.ndarray) -> np.ndarray:
+        """W^{-2} u in one pass."""
+        soc = self._square(u, self._jv_all, self.v_all, 1.0 / self.eta**2) if self.eta.size else None
+        return self._combine(u, 1.0 / self.w_nn**2, soc)
+
+    def gram(self, g) -> np.ndarray:
+        """Assemble H = G' W^{-2} G for the cone rows G = diag(scale) K[idx].
+
+        ``g`` is a :class:`riskbudget.solver.RowMatrix` with one row per
+        cone row. W^{-2} is a positive diagonal D plus, per SecondOrder
+        block, the rank-two term
+        ``(4 (v'v) Jv (Jv)' - 2 Jv v' - 2 v (Jv)') / eta^2``. The diagonal
+        part is ``K' diag(bincount(idx, scale^2 D)) K``; the rank-two part
+        needs ``a_k = G_k' J v_k`` and ``b_k = G_k' v_k``, which are ``K'``
+        times (rows of K) x (blocks) matrices gathered with ``bincount``.
+        No matrix with a row per row of G is formed.
         """
-        n = g.shape[1]
-        h = np.zeros((n, n))
-        if self.struct.nn_idx.size:
-            gnn = g[self.struct.nn_idx]
-            h += (gnn / (self.w_nn**2)[:, None]).T @ gnn
+        st = self.struct
+        kmat, idx, scale = g.K, g.idx, g.scale
+        r = kmat.shape[0]
         k = self.eta.size
+        inv_eta2 = 1.0 / self.eta**2
+        d = np.empty(st.dim)
+        d[st.nn_idx] = 1.0 / self.w_nn**2
+        d[st.soc_rows] = inv_eta2[st.block[st.soc_rows]]
+        # the weights are nonnegative, so the diagonal part is one
+        # symmetric product of K with its rows scaled by their roots
+        root = kmat * np.sqrt(np.bincount(idx, scale * scale * d, minlength=r))[:, None]
+        h = root.T @ root
         if k:
-            inv_eta2 = 1.0 / self.eta**2
-            if soc_grams is not None:
-                h += np.tensordot(inv_eta2, soc_grams, axes=1)
-            else:
-                for i, (lo, hi) in enumerate(self.struct.soc_slices):
-                    gk = g[lo:hi]
-                    h += inv_eta2[i] * (gk.T @ gk)
-            # low-rank part: sum_k inv_eta2_k (4 (v'v) a a' - 2 a b' - 2 b a')
-            # with a = G_k' (J v_k), b = G_k' v_k, done as one thin product
-            amat = np.empty((n, k))
-            bmat = np.empty((n, k))
-            vtv = np.empty(k)
-            for i, (lo, hi) in enumerate(self.struct.soc_slices):
-                gk = g[lo:hi]
-                amat[:, i] = gk.T @ self._jv_all[lo:hi]
-                bmat[:, i] = gk.T @ self.v_all[lo:hi]
-                vtv[i] = self.v_all[lo:hi] @ self.v_all[lo:hi]
-            left = np.hstack([amat * (4.0 * vtv * inv_eta2), -2.0 * amat * inv_eta2])
-            right = np.hstack([amat, bmat])
-            cross = left @ right.T
-            h += cross
-            h += -2.0 * (bmat * inv_eta2) @ amat.T
+            rows = st.soc_rows
+            cell = idx[rows] * (2 * k) + st.block[rows]
+            gathered = np.bincount(np.concatenate([cell, cell + k]),
+                                   np.concatenate([(scale * self._jv_all)[rows],
+                                                   (scale * self.v_all)[rows]]),
+                                   minlength=2 * r * k)
+            ab = kmat.T @ gathered.reshape(r, 2 * k)
+            amat, bmat = ab[:, :k], ab[:, k:]
+            cross = (amat * inv_eta2) @ bmat.T
+            h += (amat * (4.0 * self.vtv * inv_eta2)) @ amat.T - 2.0 * (cross + cross.T)
         return 0.5 * (h + h.T)

@@ -1,9 +1,9 @@
 """Dense symmetric linear algebra for covariance work.
 
-Cholesky factorization with pivot-level failure reporting, a cyclic Jacobi
-eigensolver, Frobenius-nearest positive semidefinite repair, and sample
-covariance estimation. Everything operates on plain numpy arrays and is
-pure: no function mutates its inputs.
+Cholesky factorization with pivot-level failure reporting, a symmetric
+eigensolver (LAPACK through numpy), Frobenius-nearest positive semidefinite
+repair, and sample covariance estimation. Everything operates on plain
+numpy arrays and is pure: no function mutates its inputs.
 """
 
 from __future__ import annotations
@@ -74,13 +74,11 @@ def cholesky(c) -> NDArray[np.float64]:
     return r
 
 
-def symmetric_eig(a, tol: float = 1e-12, max_sweeps: int = 100):
-    """Eigendecomposition of a symmetric matrix by the cyclic Jacobi method.
+def symmetric_eig(a):
+    """Eigendecomposition of a symmetric matrix (LAPACK, ``numpy.linalg.eigh``).
 
-    Sweeps over all off-diagonal pairs, applying Givens rotations until the
-    off-diagonal Frobenius norm falls below ``tol`` times the matrix norm
-    (or ``max_sweeps`` sweeps have run). Adequate and robust for the dense
-    matrices used here (n of order 100).
+    The input is symmetrized to ``(a + a.T) / 2`` first, so only its
+    symmetric part matters.
 
     Returns
     -------
@@ -89,53 +87,7 @@ def symmetric_eig(a, tol: float = 1e-12, max_sweeps: int = 100):
         columns of ``v``, so that ``a == v @ diag(w) @ v.T``.
     """
     a = _as_square(a)
-    n = a.shape[0]
-    A = 0.5 * (a + a.T)
-    V = np.eye(n)
-    if n == 1:
-        return A.diagonal().copy(), V
-
-    norm = np.linalg.norm(A)
-    if norm == 0.0:
-        return np.zeros(n), V
-    thresh = tol * norm
-
-    for _ in range(max_sweeps):
-        off = np.sqrt(np.sum((A - np.diag(A.diagonal())) ** 2))
-        if off <= thresh:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = A[p, q]
-                if abs(apq) <= thresh / n:
-                    continue
-                # Stable rotation angle (Golub & Van Loan sym. Schur 2x2)
-                theta = (A[q, q] - A[p, p]) / (2.0 * apq)
-                t = np.sign(theta) / (abs(theta) + np.hypot(1.0, theta))
-                if theta == 0.0:
-                    t = 1.0
-                cth = 1.0 / np.hypot(1.0, t)
-                sth = t * cth
-
-                rp = A[p, :].copy()
-                rq = A[q, :].copy()
-                A[p, :] = cth * rp - sth * rq
-                A[q, :] = sth * rp + cth * rq
-                cp = A[:, p].copy()
-                cq = A[:, q].copy()
-                A[:, p] = cth * cp - sth * cq
-                A[:, q] = sth * cp + cth * cq
-                A[p, q] = 0.0
-                A[q, p] = 0.0
-
-                vp = V[:, p].copy()
-                vq = V[:, q].copy()
-                V[:, p] = cth * vp - sth * vq
-                V[:, q] = sth * vp + cth * vq
-
-    w = A.diagonal().copy()
-    order = np.argsort(w)
-    return w[order], V[:, order]
+    return np.linalg.eigh(0.5 * (a + a.T))
 
 
 def nearest_psd(c, eps: float = 0.0) -> NDArray[np.float64]:
@@ -152,9 +104,7 @@ def nearest_psd(c, eps: float = 0.0) -> NDArray[np.float64]:
     """
     if eps < 0:
         raise ValueError("eps must be nonnegative")
-    c = _as_square(c)
-    b = 0.5 * (c + c.T)
-    w, v = symmetric_eig(b)
+    w, v = symmetric_eig(c)
     w = np.maximum(w, eps)
     out = (v * w) @ v.T
     return 0.5 * (out + out.T)

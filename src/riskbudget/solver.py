@@ -13,6 +13,13 @@ self-dual embedding, with Nesterov-Todd scaling, Mehrotra
 predictor-corrector steps and dense normal-equations linear solves. The
 embedding yields clean infeasibility/unboundedness certificates instead of
 numerical breakdown when the constraints conflict.
+
+``A`` is held as a :class:`RowMatrix`, every row a scaled copy of a row of
+a small dense matrix ``K``, and the solver touches it only through
+``A @ x``, ``A.rmatvec(z)``, row norms and the Gram ``G' W^-2 G``. A
+program built from a few row patterns, such as the allocation program
+(``n`` cone blocks made of the rows of ``I + C``, ``I - C`` and ``R``),
+therefore solves in memory of the size of ``K``.
 """
 
 from __future__ import annotations
@@ -28,6 +35,7 @@ import scipy.sparse as sp
 from .cones import ConeBlock, ConeStructure, NonNeg, NTScaling, SecondOrder, Zero
 
 __all__ = [
+    "RowMatrix",
     "ConeProgram",
     "ConeSolution",
     "SolverOptions",
@@ -39,9 +47,6 @@ __all__ = [
 ]
 
 log = logging.getLogger("riskbudget.solver")
-
-# cached per-block soc Grams are skipped above this many matrix entries
-_GRAM_CACHE_LIMIT = 4 * 10**7
 
 
 class SolveStatus(Enum):
@@ -60,22 +65,81 @@ class ProgramValidationError(ValueError):
         super().__init__("; ".join(self.defects))
 
 
+class RowMatrix:
+    """An ``m x n`` matrix whose row ``i`` is ``scale[i] * K[idx[i]]``.
+
+    Storage is ``K`` plus one index and one factor per row, so a matrix
+    that repeats a few row patterns under different factors costs the size
+    of ``K``, not ``m x n``. A plain matrix is the case ``K = A``,
+    ``idx = arange(m)``, ``scale = 1`` (:meth:`dense`). ``np.asarray``
+    materializes the full matrix.
+    """
+
+    def __init__(self, K, idx, scale):
+        self.K = np.ascontiguousarray(K, dtype=float)
+        self.idx = np.asarray(idx, dtype=np.intp)
+        self.scale = np.asarray(scale, dtype=float)
+        if self.K.ndim != 2:
+            raise ValueError("A must be a matrix")
+        if self.idx.ndim != 1 or self.scale.shape != self.idx.shape:
+            raise ValueError("idx and scale must be vectors of equal length")
+        if self.idx.size and (self.idx.min() < 0 or self.idx.max() >= self.K.shape[0]):
+            raise ValueError(f"row index out of range for K with {self.K.shape[0]} rows")
+        self.shape = (self.idx.size, self.K.shape[1])
+
+    @classmethod
+    def dense(cls, a) -> RowMatrix:
+        a = a.toarray() if sp.issparse(a) else np.asarray(a, dtype=float)
+        m = a.shape[0] if a.ndim else 0
+        return cls(a, np.arange(m), np.ones(m))
+
+    @property
+    def nbytes(self) -> int:
+        return self.K.nbytes + self.idx.nbytes + self.scale.nbytes
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        return self.scale * (self.K @ x)[self.idx]
+
+    def rmatvec(self, z: np.ndarray) -> np.ndarray:
+        """``A' z``."""
+        return self.K.T @ np.bincount(self.idx, self.scale * z, minlength=self.K.shape[0])
+
+    def row_norms(self) -> np.ndarray:
+        return np.abs(self.scale) * np.linalg.norm(self.K, axis=1)[self.idx]
+
+    def take(self, rows) -> RowMatrix:
+        """The rows ``rows`` of this matrix, sharing ``K``."""
+        return RowMatrix(self.K, self.idx[rows], self.scale[rows])
+
+    def divide_rows(self, d: np.ndarray) -> RowMatrix:
+        """``diag(1/d) @ A``, sharing ``K``."""
+        return RowMatrix(self.K, self.idx, self.scale / d)
+
+    def toarray(self) -> np.ndarray:
+        return self.scale[:, None] * self.K[self.idx]
+
+    def __array__(self, dtype=None, copy=None):
+        out = self.toarray()
+        return out if dtype is None else out.astype(dtype)
+
+
 @dataclass(frozen=True)
 class ConeProgram:
     """A cone program ``min c @ x  s.t.  b - A @ x in K``.
 
-    ``A`` may be dense or scipy-sparse; it is stored dense. ``cones``
-    lists the row blocks in order; their dims must sum to ``len(b)``.
+    ``A`` may be a :class:`RowMatrix`, or dense or scipy-sparse, which is
+    stored as the dense case of one. ``cones`` lists the row blocks in
+    order; their dims must sum to ``len(b)``.
     """
 
     c: np.ndarray
-    A: np.ndarray
+    A: RowMatrix
     b: np.ndarray
     cones: tuple[ConeBlock, ...]
 
     def __post_init__(self):
-        a = self.A.toarray() if sp.issparse(self.A) else np.asarray(self.A, dtype=float)
-        object.__setattr__(self, "A", np.ascontiguousarray(a))
+        if not isinstance(self.A, RowMatrix):
+            object.__setattr__(self, "A", RowMatrix.dense(self.A))
         object.__setattr__(self, "c", np.asarray(self.c, dtype=float).ravel())
         object.__setattr__(self, "b", np.asarray(self.b, dtype=float).ravel())
         object.__setattr__(self, "cones", tuple(self.cones))
@@ -121,9 +185,6 @@ def validate(p: ConeProgram) -> list[str]:
     defects = []
     if p.c.ndim != 1:
         defects.append("c must be a vector")
-    if p.A.ndim != 2:
-        defects.append("A must be a matrix")
-        return defects
     m, n = p.A.shape
     if n != p.c.size:
         defects.append(f"dimension mismatch: A has {n} columns but c has {p.c.size} entries")
@@ -141,8 +202,8 @@ def validate(p: ConeProgram) -> list[str]:
         total += blk.dim
     if total != p.b.size:
         defects.append(f"cone dims sum to {total} but A has {p.b.size} rows")
-    for name, arr in (("c", p.c), ("A", p.A), ("b", p.b)):
-        if arr.size and not np.all(np.isfinite(arr)):
+    for name, arrs in (("c", [p.c]), ("A", [p.A.K, p.A.scale]), ("b", [p.b])):
+        if not all(np.all(np.isfinite(arr)) for arr in arrs):
             defects.append(f"{name} contains non-finite entries")
     return defects
 
@@ -170,10 +231,10 @@ class _KKT:
     forming H at extreme scalings.
     """
 
-    def __init__(self, aeq, g, scaling, soc_grams, reg, refine_steps):
-        n = g.shape[1] if g.size else aeq.shape[1]
+    def __init__(self, aeq, g, scaling, reg, refine_steps):
+        n = g.shape[1]
         p = aeq.shape[0]
-        h = scaling.gram(g, soc_grams) if g.shape[0] else np.zeros((n, n))
+        h = scaling.gram(g)
         mreg = np.zeros((n + p, n + p))
         mreg[:n, :n] = h
         if p:
@@ -190,10 +251,10 @@ class _KKT:
 
     def _reduced(self, rho_x, rho_y, rho_3):
         w = self.scaling
-        gx = rho_x + self.g.T @ w.apply_inv(w.apply_inv(rho_3)) if self.g.shape[0] else rho_x
+        gx = rho_x + self.g.rmatvec(w.apply_inv_sq(rho_3))
         u = sla.lu_solve(self.lu, np.concatenate([gx, rho_y]))
         dx, dy = u[: self.n], u[self.n :]
-        dz = w.apply_inv(w.apply_inv(self.g @ dx - rho_3)) if self.g.shape[0] else np.zeros(0)
+        dz = w.apply_inv_sq(self.g @ dx - rho_3)
         return dx, dy, dz
 
     def solve3(self, rho_x, rho_y, rho_3):
@@ -202,9 +263,9 @@ class _KKT:
         base = max(float(np.linalg.norm(rho_x)), float(np.linalg.norm(rho_y)),
                    float(np.linalg.norm(rho_3)) if rho_3.size else 0.0, 1e-300)
         for _ in range(self.refine_steps):
-            res_x = rho_x - (self.aeq.T @ dy + self.g.T @ dz)
+            res_x = rho_x - (self.aeq.T @ dy + self.g.rmatvec(dz))
             res_y = rho_y - self.aeq @ dx
-            res_3 = rho_3 - (self.g @ dx - w.apply(w.apply(dz))) if self.g.shape[0] else rho_3[:0]
+            res_3 = rho_3 - (self.g @ dx - w.apply_sq(dz))
             rnorm = max(float(np.linalg.norm(res_x)), float(np.linalg.norm(res_y)),
                         float(np.linalg.norm(res_3)) if res_3.size else 0.0)
             if rnorm <= 1e-14 * base:
@@ -257,8 +318,8 @@ def _solve_once(p: ConeProgram, opts: SolverOptions,
 
     zero_rows, cone_rows, cone_blocks = _row_partition(p)
     n = p.c.size
-    aeq, beq = p.A[zero_rows], p.b[zero_rows]
-    g, h = p.A[cone_rows], p.b[cone_rows]
+    aeq, beq = p.A.take(zero_rows).toarray(), p.b[zero_rows]
+    g, h = p.A.take(cone_rows), p.b[cone_rows]
     struct = ConeStructure(cone_blocks)
     m = struct.dim
     c = p.c
@@ -273,7 +334,7 @@ def _solve_once(p: ConeProgram, opts: SolverOptions,
     d_eq = row_scale(np.linalg.norm(aeq, axis=1)) if aeq.size else np.ones(aeq.shape[0])
     d_cone = np.ones(m)
     if m:
-        row_norms = np.linalg.norm(g, axis=1)
+        row_norms = g.row_norms()
         if struct.nn_idx.size:
             d_cone[struct.nn_idx] = row_scale(row_norms[struct.nn_idx])
         for lo, hi in struct.soc_slices:
@@ -282,14 +343,10 @@ def _solve_once(p: ConeProgram, opts: SolverOptions,
             d_cone[lo:hi] = np.exp(np.mean(np.log(live))) if live.size else 1.0
     aeq = aeq / d_eq[:, None] if aeq.size else aeq
     beq = beq / d_eq
-    g = g / d_cone[:, None] if g.size else g
+    g = g.divide_rows(d_cone)
     h = h / d_cone
     norm_beq_orig = 1.0 + np.linalg.norm(beq * d_eq)
     norm_h_orig = 1.0 + np.linalg.norm(h * d_cone)
-
-    soc_grams = None
-    if struct.soc_slices and len(struct.soc_slices) * n * n <= _GRAM_CACHE_LIMIT:
-        soc_grams = np.stack([g[lo:hi].T @ g[lo:hi] for lo, hi in struct.soc_slices])
 
     e = struct.identity()
     deg = max(struct.degree, 1)
@@ -335,7 +392,7 @@ def _solve_once(p: ConeProgram, opts: SolverOptions,
     centering_steps = 0
     for it in range(opts.max_iters + 1):
         # residuals of the embedding
-        r_d = aeq.T @ y + g.T @ z + c * tau
+        r_d = aeq.T @ y + g.rmatvec(z) + c * tau
         r_p = aeq @ x - beq * tau
         r_c = g @ x + s - h * tau
         r_g = c @ x + beq @ y + h @ z + kappa
@@ -347,7 +404,7 @@ def _solve_once(p: ConeProgram, opts: SolverOptions,
             np.linalg.norm((aeq @ xt - beq) * d_eq) / norm_beq_orig,
             np.linalg.norm((g @ xt + st - h) * d_cone) / norm_h_orig if m else 0.0,
         )
-        dres = np.linalg.norm(aeq.T @ yt + g.T @ zt + c) / norm_c
+        dres = np.linalg.norm(aeq.T @ yt + g.rmatvec(zt) + c) / norm_c
         pobj = c @ xt
         dobj = -(beq @ yt + h @ zt)
         gap_abs = st @ zt
@@ -376,7 +433,7 @@ def _solve_once(p: ConeProgram, opts: SolverOptions,
             ip = beq @ y + h @ z
             if ip < -1e-14:
                 nu = -1.0 / ip
-                if np.linalg.norm(aeq.T @ (nu * y) + g.T @ (nu * z)) <= opts.tol_feas * norm_c:
+                if np.linalg.norm(aeq.T @ (nu * y) + g.rmatvec(nu * z)) <= opts.tol_feas * norm_c:
                     return report(SolveStatus.Infeasible, it, np.full(n, np.nan),
                                   nu * y, nu * z, np.full(m, np.nan), pres, dres, relgap, np.nan)
             ic = c @ x
@@ -400,7 +457,7 @@ def _solve_once(p: ConeProgram, opts: SolverOptions,
         refine = opts.refine_steps if mu <= 1e-2 else 0
         try:
             scaling = NTScaling(struct, s, z)
-            kkt = _KKT(aeq, g, scaling, soc_grams, opts.reg, refine)
+            kkt = _KKT(aeq, g, scaling, opts.reg, refine)
         except (sla.LinAlgError, FloatingPointError, ValueError):
             break
         lmbda = scaling.lmbda
@@ -536,14 +593,16 @@ def dump_program(p: ConeProgram, path) -> None:
         zero|nonneg|soc <dim> # blocks in row order
         end
     """
-    m, n = p.A.shape
+    a = p.A
+    m, n = a.shape
     lines = ["conedump v1", f"vars {n}", f"rows {m}", "c"]
     for j in np.flatnonzero(p.c):
         lines.append(f"{j} {float(p.c[j])!r}")
     lines.append("A")
     for i in range(m):
-        for j in np.flatnonzero(p.A[i]):
-            lines.append(f"{i} {j} {float(p.A[i, j])!r}")
+        row = a.scale[i] * a.K[a.idx[i]]
+        for j in np.flatnonzero(row):
+            lines.append(f"{i} {j} {float(row[j])!r}")
     lines.append("b")
     for i in np.flatnonzero(p.b):
         lines.append(f"{i} {float(p.b[i])!r}")

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from riskbudget.cones import ConeStructure, NonNeg, NTScaling, SecondOrder, Zero
+from riskbudget.solver import RowMatrix
 
 
 def random_interior(struct, rng, scale=1.0):
@@ -53,6 +54,10 @@ def test_nt_scaling_identities(struct):
         assert np.isclose(w.lmbda @ w.lmbda, s @ z, atol=1e-9)
         # lambda stays interior
         assert struct.margin(w.lmbda) > 0
+        # W^2 and W^{-2} in one pass agree with two applications
+        d = rng.standard_normal(struct.dim)
+        assert np.allclose(w.apply_sq(d), w.apply(w.apply(d)), rtol=1e-10, atol=1e-10)
+        assert np.allclose(w.apply_inv_sq(d), w.apply_inv(w.apply_inv(d)), rtol=1e-10, atol=1e-10)
 
 
 def test_gram_matches_bruteforce(struct):
@@ -61,12 +66,15 @@ def test_gram_matches_bruteforce(struct):
     s = random_interior(struct, rng)
     z = random_interior(struct, rng)
     w = NTScaling(struct, s, z)
-    h = w.gram(g)
+    h = w.gram(RowMatrix.dense(g))
     brute = np.column_stack([w.apply_inv(w.apply_inv(g[:, j])) for j in range(5)])
     assert np.allclose(h, g.T @ brute, atol=1e-9)
-    # cached per-block soc grams give the same answer
-    grams = np.stack([g[lo:hi].T @ g[lo:hi] for lo, hi in struct.soc_slices])
-    assert np.allclose(w.gram(g, soc_grams=grams), h, atol=1e-12)
+    # rows stored as scaled copies of a few rows of K give the same answer
+    kmat = rng.standard_normal((3, 5))
+    rows = RowMatrix(kmat, rng.integers(0, 3, struct.dim), rng.standard_normal(struct.dim))
+    dense = np.asarray(rows)
+    brute = np.column_stack([w.apply_inv(w.apply_inv(dense[:, j])) for j in range(5)])
+    assert np.allclose(w.gram(rows), dense.T @ brute, atol=1e-9)
 
 
 def test_max_step(struct):
@@ -88,3 +96,114 @@ def test_max_step_pure_nonneg():
     du = np.array([-1.0, 1.0, -6.0])
     assert struct.max_step(u, du) == pytest.approx(0.5)
     assert struct.max_step(u, np.ones(3)) == np.inf
+
+
+# Per-block loop versions of the cone primitives, the reference for the
+# segmented reductions in ConeStructure and NTScaling
+
+
+def loop_prod(struct, u, v):
+    out = u * v
+    for lo, hi in struct.soc_slices:
+        out[lo] = u[lo] * v[lo] + u[lo + 1 : hi] @ v[lo + 1 : hi]
+        out[lo + 1 : hi] = u[lo] * v[lo + 1 : hi] + v[lo] * u[lo + 1 : hi]
+    return out
+
+
+def loop_div(struct, lmbda, d):
+    out = d / lmbda
+    for lo, hi in struct.soc_slices:
+        l0, l1, d0, d1 = lmbda[lo], lmbda[lo + 1 : hi], d[lo], d[lo + 1 : hi]
+        w0 = (l0 * d0 - l1 @ d1) / (l0 * l0 - l1 @ l1)
+        out[lo] = w0
+        out[lo + 1 : hi] = (d1 - w0 * l1) / l0
+    return out
+
+
+def loop_margin(struct, u):
+    socs = [u[lo] - np.linalg.norm(u[lo + 1 : hi]) for lo, hi in struct.soc_slices]
+    return min(socs + list(u[struct.nn_idx]))
+
+
+def loop_soc_step(u0, u1, d0, d1):
+    a = d0 * d0 - d1 @ d1
+    b = 2.0 * (u0 * d0 - u1 @ d1)
+    c = u0 * u0 - u1 @ u1
+    if c <= 0:
+        return 0.0
+    if abs(a) < 1e-300:
+        return -c / b if b < 0 else np.inf
+    disc = b * b - 4.0 * a * c
+    if a > 0:
+        if disc < 0 or b >= 0:
+            return np.inf
+        return c / (-0.5 * (b - np.sqrt(disc)))
+    q = -0.5 * (b + np.copysign(np.sqrt(disc), b if b != 0 else 1.0))
+    roots = [r for r in (q / a, c / q if q != 0 else np.inf) if r > 0]
+    return min(roots) if roots else np.inf
+
+
+def loop_max_step(struct, u, du):
+    alpha = np.inf
+    neg = du[struct.nn_idx] < 0
+    if np.any(neg):
+        alpha = float(np.min(-u[struct.nn_idx][neg] / du[struct.nn_idx][neg]))
+    for lo, hi in struct.soc_slices:
+        alpha = min(alpha, loop_soc_step(u[lo], u[lo + 1 : hi], du[lo], du[lo + 1 : hi]))
+    return alpha
+
+
+def loop_scaling_point(struct, s, z):
+    eta, v_all = [], np.zeros(struct.dim)
+    for lo, hi in struct.soc_slices:
+        ds = np.sqrt(s[lo] ** 2 - s[lo + 1 : hi] @ s[lo + 1 : hi])
+        dz = np.sqrt(z[lo] ** 2 - z[lo + 1 : hi] @ z[lo + 1 : hi])
+        sb, zb = s[lo:hi] / ds, z[lo:hi] / dz
+        wb = sb.copy()
+        wb[0] += zb[0]
+        wb[1:] -= zb[1:]
+        wb /= 2.0 * np.sqrt(0.5 * (1.0 + sb @ zb))
+        v = wb.copy()
+        v[0] = np.sqrt(0.5 * (wb[0] + 1.0))
+        v[1:] = wb[1:] / (2.0 * v[0])
+        eta.append(np.sqrt(ds / dz))
+        v_all[lo:hi] = v
+    return np.asarray(eta), v_all
+
+
+@pytest.mark.parametrize("blocks", [
+    [NonNeg(3), SecondOrder(4), Zero(2), SecondOrder(2)],
+    [SecondOrder(3), NonNeg(2), SecondOrder(5), NonNeg(1)],
+    [SecondOrder(6)],
+])
+def test_segmented_primitives_match_block_loops(blocks):
+    struct = ConeStructure(blocks)
+    rng = np.random.default_rng(4)
+    for _ in range(30):
+        u, v = random_interior(struct, rng), random_interior(struct, rng)
+        d = rng.standard_normal(struct.dim)
+        assert np.allclose(struct.prod(u, d), loop_prod(struct, u, d), rtol=1e-12, atol=1e-14)
+        assert np.allclose(struct.div(u, d), loop_div(struct, u, d), rtol=1e-12, atol=1e-14)
+        assert np.isclose(struct.max_step(u, d), loop_max_step(struct, u, d), rtol=1e-12)
+        assert np.isclose(struct.max_step(u, -d), loop_max_step(struct, u, -d), rtol=1e-12)
+        assert np.isclose(struct.margin(d), loop_margin(struct, d), rtol=1e-12)
+        w = NTScaling(struct, u, v)
+        eta, v_all = loop_scaling_point(struct, u, v)
+        assert np.allclose(w.eta, eta, rtol=1e-12)
+        assert np.allclose(w.v_all, v_all, rtol=1e-12, atol=1e-14)
+
+
+def test_soc_step_boundary_cases():
+    struct = ConeStructure([SecondOrder(3)])
+    u = np.array([2.0, 1.0, 0.0])
+    cases = [
+        np.array([1.0, 1.0, 0.0]),    # along the boundary ray: a = 0, b > 0
+        np.array([-1.0, -1.0, 0.0]),  # a = 0, b < 0: linear crossing
+        np.array([1.0, 0.0, 0.0]),    # toward the axis: never leaves
+        np.array([0.0, 3.0, 0.0]),    # a < 0: one positive root
+        np.array([0.0, 0.0, 0.0]),    # no move
+    ]
+    for du in cases:
+        assert struct.max_step(u, du) == pytest.approx(loop_max_step(struct, u, du), rel=1e-12)
+    # a point on the boundary already allows no step
+    assert struct.max_step(np.array([1.0, 1.0, 0.0]), np.array([0.0, 1.0, 0.0])) == 0.0

@@ -302,6 +302,13 @@ class TestValidate:
         with pytest.raises(ProgramValidationError):
             solve(p)
 
+    def test_non_matrix_and_non_finite_a(self):
+        with pytest.raises(ValueError, match="A must be a matrix"):
+            ConeProgram(c=np.ones(2), A=np.ones(2), b=np.ones(1), cones=(NonNeg(1),))
+        p = ConeProgram(c=np.ones(2), A=np.array([[1.0, np.inf]]), b=np.ones(1),
+                        cones=(NonNeg(1),))
+        assert validate(p) == ["A contains non-finite entries"]
+
     def test_cone_sum_mismatch(self):
         p = ConeProgram(c=np.ones(2), A=np.ones((3, 2)), b=np.ones(3),
                         cones=(NonNeg(2),))
