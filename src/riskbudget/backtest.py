@@ -54,7 +54,7 @@ FIRST_DECISION = 3
 # engine-level solver default: 1e-7 formal tolerance is far beyond what
 # weekly fills resolve, and avoids spurious abstentions from the interior
 # point method's last-digit fragility at 1e-8 on point-in-time matrices
-DEFAULT_SOLVER_OPTIONS = SolverOptions(tol_feas=1e-7, tol_gap=1e-7, tol_cone=1e-7)
+DEFAULT_SOLVER_OPTIONS = SolverOptions(tol_feas=1e-7, tol_gap=1e-7)
 
 
 def normalize_strategy(name: str) -> str:

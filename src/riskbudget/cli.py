@@ -97,7 +97,7 @@ def _solver_options(args) -> SolverOptions | None:
         return None
     opts = SolverOptions()
     if args.tol is not None:
-        opts.tol_feas = opts.tol_gap = opts.tol_cone = args.tol
+        opts.tol_feas = opts.tol_gap = args.tol
     if args.max_iters is not None:
         opts.max_iters = args.max_iters
     return opts

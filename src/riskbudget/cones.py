@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["Zero", "NonNeg", "SecondOrder", "ConeStructure", "NTScaling"]
+__all__ = ["Zero", "NonNeg", "SecondOrder", "ConeStructure", "NTScaling", "GramPlan"]
 
 
 @dataclass(frozen=True)
@@ -88,6 +88,10 @@ class ConeStructure:
         self.jsign = np.zeros(pos)
         self.jsign[self.soc_rows] = -1.0
         self.jsign[self.soc_starts] = 1.0
+        # -J on second-order rows extended by 1 on nonneg rows, so that
+        # w (2 v v'u - J u) with v = 0 there is W u on every row
+        self.negj = -self.jsign
+        self.negj[self.nn_idx] = 1.0
         self._tailf = self.tail.astype(float)
         # row of each row's block head (nonneg rows point at themselves)
         self._head = np.arange(pos)
@@ -179,12 +183,13 @@ class NTScaling:
     NonNeg blocks use w = sqrt(s/z); SecondOrder blocks keep the compact
     (eta, v) representation of W = eta * (2 v v' - J), with v'Jv = 1 and
     J = diag(1, -I). Per-block data is stored stacked so that products
-    vectorize across blocks via segmented reductions.
+    vectorize across blocks via segmented reductions: ``w`` holds w or eta
+    per row, and ``v_all`` is zero on nonneg rows, so each of W, W^-1, W^2
+    and W^-2 is one expression over all rows.
     """
 
     def __init__(self, struct: ConeStructure, s: np.ndarray, z: np.ndarray):
         self.struct = struct
-        self.w_nn = np.sqrt(s[struct.nn_idx] / z[struct.nn_idx])
         self.eta = np.zeros(struct.soc_starts.size)
         self.vtv = np.zeros(struct.soc_starts.size)
         self.v_all = np.zeros(struct.dim)  # concatenated v per block, zero elsewhere
@@ -203,86 +208,127 @@ class NTScaling:
             self.v_all[struct.soc_rows] = v[struct.soc_rows]
             self.eta = np.sqrt(ds / dz)
             self.vtv = struct.blocksum(self.v_all * self.v_all)
+        nn = struct.nn_idx
+        self.w = np.empty(struct.dim)
+        self.w[nn] = np.sqrt(s[nn] / z[nn])
+        self.w[struct.soc_rows] = self.eta[struct.block[struct.soc_rows]]
+        self.w_inv = 1.0 / self.w
+        self.w_sq = self.w * self.w
+        self.w_inv_sq = 1.0 / self.w_sq
         self._jv_all = struct.jsign * self.v_all
         self.lmbda = self.apply(z)
 
-    def _soc_part(self, u, vecs, scale):
-        # scale_k * (2 vec_k (vec_k' u_k) - J u_k) stacked over blocks
+    def _scale(self, u, vec, factor):
+        # factor * (2 vec (vec'u) - J u) per block: W with (v, w), W^-1 with
+        # (Jv, 1/w); vec vanishes on nonneg rows, leaving factor * u
         st = self.struct
-        dots = st.blocksum(vecs * u)
-        ju = np.where(st.tail, -u, u)
-        return scale[st.block] * (2.0 * vecs * dots[st.block] - ju)
-
-    def _combine(self, u, d_nn, soc):
-        out = np.zeros(self.struct.dim)
-        out[self.struct.nn_idx] = d_nn * u[self.struct.nn_idx]
+        out = st.negj * u
         if self.eta.size:
-            rows = self.struct.soc_rows
-            out[rows] = soc[rows]
-        return out
+            out += 2.0 * vec * st.blocksum(vec * u)[st.block]
+        return factor * out
 
     def apply(self, u: np.ndarray) -> np.ndarray:
         """W u."""
-        soc = self._soc_part(u, self.v_all, self.eta) if self.eta.size else None
-        return self._combine(u, self.w_nn, soc)
+        return self._scale(u, self.v_all, self.w)
 
     def apply_inv(self, u: np.ndarray) -> np.ndarray:
         """W^{-1} u."""
-        soc = self._soc_part(u, self._jv_all, 1.0 / self.eta) if self.eta.size else None
-        return self._combine(u, 1.0 / self.w_nn, soc)
+        return self._scale(u, self._jv_all, self.w_inv)
 
-    def _square(self, u, p, q, scale2):
-        # scale2_k * (u + 4 (v'v)(p'u) p - 2 (q'u) p - 2 (p'u) q) per block:
-        # W^2 with (p, q) = (v, Jv), W^{-2} with (Jv, v)
+    def _square(self, u, p, q, factor):
+        # factor * (u + 4 (v'v)(p'u) p - 2 (q'u) p - 2 (p'u) q) per block:
+        # W^2 with (p, q, factor) = (v, Jv, w^2), W^{-2} with (Jv, v, 1/w^2);
+        # p and q vanish on nonneg rows, leaving factor * u
+        if not self.eta.size:
+            return factor * u
         st = self.struct
         pu = st.blocksum(p * u)
         qu = st.blocksum(q * u)
         blk = st.block
-        return scale2[blk] * (u + (4.0 * self.vtv * pu - 2.0 * qu)[blk] * p - 2.0 * pu[blk] * q)
+        return factor * (u + (4.0 * self.vtv * pu - 2.0 * qu)[blk] * p - 2.0 * pu[blk] * q)
 
     def apply_sq(self, u: np.ndarray) -> np.ndarray:
         """W^2 u in one pass."""
-        soc = self._square(u, self.v_all, self._jv_all, self.eta**2) if self.eta.size else None
-        return self._combine(u, self.w_nn**2, soc)
+        return self._square(u, self.v_all, self._jv_all, self.w_sq)
 
     def apply_inv_sq(self, u: np.ndarray) -> np.ndarray:
         """W^{-2} u in one pass."""
-        soc = self._square(u, self._jv_all, self.v_all, 1.0 / self.eta**2) if self.eta.size else None
-        return self._combine(u, 1.0 / self.w_nn**2, soc)
+        return self._square(u, self._jv_all, self.v_all, self.w_inv_sq)
 
-    def gram(self, g) -> np.ndarray:
+    def gram(self, plan: GramPlan) -> np.ndarray:
         """Assemble H = G' W^{-2} G for the cone rows G = diag(scale) K[idx].
 
-        ``g`` is a :class:`riskbudget.solver.RowMatrix` with one row per
-        cone row. W^{-2} is a positive diagonal D plus, per SecondOrder
-        block, the rank-two term
-        ``(4 (v'v) Jv (Jv)' - 2 Jv v' - 2 v (Jv)') / eta^2``. The diagonal
-        part is ``K' diag(bincount(idx, scale^2 D)) K``; the rank-two part
-        needs ``a_k = G_k' J v_k`` and ``b_k = G_k' v_k``, which are ``K'``
-        times (rows of K) x (blocks) matrices gathered with ``bincount``.
+        W^{-2} is a positive diagonal D plus, per SecondOrder block, the
+        rank-two term ``(4 (v'v) Jv (Jv)' - 2 Jv v' - 2 v (Jv)') / eta^2``.
+        The diagonal part is ``K' diag(bincount(idx, scale^2 D)) K``, which
+        ``plan`` splits into a diagonal from the rows of K with one nonzero
+        and a product over the other rows on their column support. The
+        rank-two part needs ``a_k = G_k' J v_k`` and ``b_k = G_k' v_k``,
+        products of the rows of K that second-order rows copy with
+        (those rows) x (blocks) matrices gathered with ``bincount``.
         No matrix with a row per row of G is formed.
         """
         st = self.struct
-        kmat, idx, scale = g.K, g.idx, g.scale
-        r = kmat.shape[0]
+        n = plan.ncols
+        weight = np.bincount(plan.idx, plan.scale_sq * self.w_inv_sq, minlength=plan.nrows)
+        h = np.zeros((n, n))
+        h.flat[:: n + 1] = np.bincount(plan.single_col, weight[plan.single] * plan.single_sq,
+                                       minlength=n)
+        # the weights are nonnegative, so the rows with several entries give
+        # one symmetric product of those rows scaled by their roots
+        root = plan.multi_k * np.sqrt(weight[plan.multi])[:, None]
+        h[plan.multi_ix] += root.T @ root
         k = self.eta.size
-        inv_eta2 = 1.0 / self.eta**2
-        d = np.empty(st.dim)
-        d[st.nn_idx] = 1.0 / self.w_nn**2
-        d[st.soc_rows] = inv_eta2[st.block[st.soc_rows]]
-        # the weights are nonnegative, so the diagonal part is one
-        # symmetric product of K with its rows scaled by their roots
-        root = kmat * np.sqrt(np.bincount(idx, scale * scale * d, minlength=r))[:, None]
-        h = root.T @ root
         if k:
             rows = st.soc_rows
-            cell = idx[rows] * (2 * k) + st.block[rows]
-            gathered = np.bincount(np.concatenate([cell, cell + k]),
-                                   np.concatenate([(scale * self._jv_all)[rows],
-                                                   (scale * self.v_all)[rows]]),
-                                   minlength=2 * r * k)
-            ab = kmat.T @ gathered.reshape(r, 2 * k)
+            gathered = np.bincount(plan.cell,
+                                   np.concatenate([plan.soc_scale * self._jv_all[rows],
+                                                   plan.soc_scale * self.v_all[rows]]),
+                                   minlength=plan.soc_k.shape[0] * 2 * k)
+            ab = plan.soc_k.T @ gathered.reshape(-1, 2 * k)
             amat, bmat = ab[:, :k], ab[:, k:]
+            inv_eta2 = self.w_inv_sq[st.soc_starts]
             cross = (amat * inv_eta2) @ bmat.T
-            h += (amat * (4.0 * self.vtv * inv_eta2)) @ amat.T - 2.0 * (cross + cross.T)
+            h[plan.soc_ix] += (amat * (4.0 * self.vtv * inv_eta2)) @ amat.T - 2.0 * (cross + cross.T)
         return 0.5 * (h + h.T)
+
+
+class GramPlan:
+    """Where the Gram ``G' W^-2 G`` of cone rows ``G = diag(scale) K[idx]`` has work.
+
+    Built once per solve from ``g`` (a :class:`riskbudget.solver.RowMatrix`
+    over the cone rows of ``struct``); only the weights change between
+    iterations. A row of K that no cone row copies carries no weight. Of the
+    rest, a row with one nonzero adds a diagonal entry only, and the rows
+    with more add ``K' D K`` on their column support. The rank-two terms
+    reach only the rows of K that second-order rows copy, on those rows'
+    column support. For the allocation program the products stay in the
+    n asset columns and the epigraph column, whatever the number of
+    variables.
+    """
+
+    def __init__(self, struct: ConeStructure, g):
+        kmat, self.idx = g.K, g.idx
+        self.nrows, self.ncols = kmat.shape
+        self.scale_sq = g.scale * g.scale
+        nonzero = kmat != 0
+        used = np.bincount(self.idx, minlength=self.nrows) > 0
+        count = nonzero.sum(axis=1)
+        self.single = np.flatnonzero(used & (count == 1))
+        self.single_col = np.nonzero(nonzero[self.single])[1]
+        self.single_sq = kmat[self.single, self.single_col] ** 2
+        self.multi = np.flatnonzero(used & (count > 1))
+        cols = np.flatnonzero(nonzero[self.multi].any(axis=0))
+        self.multi_k = kmat[np.ix_(self.multi, cols)]
+        self.multi_ix = np.ix_(cols, cols)
+        # rank-two terms: cell (local K row, block) of a_k, then of b_k
+        rows = struct.soc_rows
+        soc_k = np.flatnonzero(np.bincount(self.idx[rows], minlength=self.nrows))
+        local = np.searchsorted(soc_k, self.idx[rows])
+        cols = np.flatnonzero(nonzero[soc_k].any(axis=0))
+        self.soc_k = kmat[np.ix_(soc_k, cols)]
+        self.soc_ix = np.ix_(cols, cols)
+        k = struct.soc_starts.size
+        cell = local * (2 * k) + struct.block[rows]
+        self.cell = np.concatenate([cell, cell + k])
+        self.soc_scale = g.scale[rows]

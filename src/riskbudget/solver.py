@@ -25,6 +25,7 @@ therefore solves in memory of the size of ``K``.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -32,7 +33,7 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 
-from .cones import ConeBlock, ConeStructure, NonNeg, NTScaling, SecondOrder, Zero
+from .cones import ConeBlock, ConeStructure, GramPlan, NonNeg, NTScaling, SecondOrder, Zero
 
 __all__ = [
     "RowMatrix",
@@ -47,6 +48,16 @@ __all__ = [
 ]
 
 log = logging.getLogger("riskbudget.solver")
+
+# LAPACK's solve on an LU factor, called directly: ``sla.lu_solve`` checks
+# its right-hand side for finiteness and converts it first, which costs
+# more than the solve itself on the small KKT systems of a backtest
+(_GETRS,) = sla.get_lapack_funcs(("getrs",), dtype=np.float64)
+
+
+def _norm(v: np.ndarray) -> float:
+    """Euclidean norm of a vector, as ``np.linalg.norm`` computes it."""
+    return math.sqrt(v @ v)
 
 
 class SolveStatus(Enum):
@@ -149,7 +160,6 @@ class ConeProgram:
 class SolverOptions:
     tol_feas: float = 1e-8
     tol_gap: float = 1e-8
-    tol_cone: float = 1e-8
     max_iters: int = 200
     step_backoff: float = 0.99
     refine_steps: int = 2
@@ -231,10 +241,10 @@ class _KKT:
     forming H at extreme scalings.
     """
 
-    def __init__(self, aeq, g, scaling, reg, refine_steps):
+    def __init__(self, aeq, g, plan, scaling, reg, refine_steps):
         n = g.shape[1]
         p = aeq.shape[0]
-        h = scaling.gram(g)
+        h = scaling.gram(plan)
         mreg = np.zeros((n + p, n + p))
         mreg[:n, :n] = h
         if p:
@@ -246,13 +256,15 @@ class _KKT:
             mreg[n:, n:] -= reg * scale * np.eye(p)
         self.n, self.p = n, p
         self.aeq, self.g, self.scaling = aeq, g, scaling
-        self.lu = sla.lu_factor(mreg)
+        self.lu, self.piv = sla.lu_factor(mreg)
         self.refine_steps = refine_steps
 
     def _reduced(self, rho_x, rho_y, rho_3):
         w = self.scaling
         gx = rho_x + self.g.rmatvec(w.apply_inv_sq(rho_3))
-        u = sla.lu_solve(self.lu, np.concatenate([gx, rho_y]))
+        rhs = np.concatenate([gx, rho_y])
+        # LAPACK rejects an empty system (a program with no variables)
+        u = _GETRS(self.lu, self.piv, rhs)[0] if rhs.size else rhs
         dx, dy = u[: self.n], u[self.n :]
         dz = w.apply_inv_sq(self.g @ dx - rho_3)
         return dx, dy, dz
@@ -260,14 +272,12 @@ class _KKT:
     def solve3(self, rho_x, rho_y, rho_3):
         dx, dy, dz = self._reduced(rho_x, rho_y, rho_3)
         w = self.scaling
-        base = max(float(np.linalg.norm(rho_x)), float(np.linalg.norm(rho_y)),
-                   float(np.linalg.norm(rho_3)) if rho_3.size else 0.0, 1e-300)
+        base = max(_norm(rho_x), _norm(rho_y), _norm(rho_3), 1e-300)
         for _ in range(self.refine_steps):
             res_x = rho_x - (self.aeq.T @ dy + self.g.rmatvec(dz))
             res_y = rho_y - self.aeq @ dx
             res_3 = rho_3 - (self.g @ dx - w.apply_sq(dz))
-            rnorm = max(float(np.linalg.norm(res_x)), float(np.linalg.norm(res_y)),
-                        float(np.linalg.norm(res_3)) if res_3.size else 0.0)
+            rnorm = max(_norm(res_x), _norm(res_y), _norm(res_3))
             if rnorm <= 1e-14 * base:
                 break
             ex, ey, ez = self._reduced(res_x, res_y, res_3)
@@ -345,6 +355,7 @@ def _solve_once(p: ConeProgram, opts: SolverOptions,
     beq = beq / d_eq
     g = g.divide_rows(d_cone)
     h = h / d_cone
+    plan = GramPlan(struct, g)
     norm_beq_orig = 1.0 + np.linalg.norm(beq * d_eq)
     norm_h_orig = 1.0 + np.linalg.norm(h * d_cone)
 
@@ -398,13 +409,12 @@ def _solve_once(p: ConeProgram, opts: SolverOptions,
         r_g = c @ x + beq @ y + h @ z + kappa
 
         # de-homogenized convergence metrics, measured on the original
-        # (unequilibrated) data; dual residual and gap are scale-invariant
+        # (unequilibrated) data; dual residual and gap are scale-invariant.
+        # The residuals of (x, y, z, s) / tau are those above over tau.
         xt, yt, zt, st = x / tau, y / tau, z / tau, s / tau
-        pres = max(
-            np.linalg.norm((aeq @ xt - beq) * d_eq) / norm_beq_orig,
-            np.linalg.norm((g @ xt + st - h) * d_cone) / norm_h_orig if m else 0.0,
-        )
-        dres = np.linalg.norm(aeq.T @ yt + g.rmatvec(zt) + c) / norm_c
+        pres = max(_norm(r_p / tau * d_eq) / norm_beq_orig,
+                   _norm(r_c / tau * d_cone) / norm_h_orig)
+        dres = _norm(r_d / tau) / norm_c
         pobj = c @ xt
         dobj = -(beq @ yt + h @ zt)
         gap_abs = st @ zt
@@ -457,7 +467,7 @@ def _solve_once(p: ConeProgram, opts: SolverOptions,
         refine = opts.refine_steps if mu <= 1e-2 else 0
         try:
             scaling = NTScaling(struct, s, z)
-            kkt = _KKT(aeq, g, scaling, opts.reg, refine)
+            kkt = _KKT(aeq, g, plan, scaling, opts.reg, refine)
         except (sla.LinAlgError, FloatingPointError, ValueError):
             break
         lmbda = scaling.lmbda

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from riskbudget.cones import ConeStructure, NonNeg, NTScaling, SecondOrder, Zero
+from riskbudget.cones import ConeStructure, GramPlan, NonNeg, NTScaling, SecondOrder, Zero
 from riskbudget.solver import RowMatrix
 
 
@@ -13,9 +13,22 @@ def random_interior(struct, rng, scale=1.0):
     return u
 
 
+LAYOUTS = [
+    [NonNeg(3), SecondOrder(4), Zero(2), SecondOrder(2)],
+    # nonneg rows between and after second-order blocks, inside the
+    # segments that the segmented sums give the blocks before them
+    [SecondOrder(3), NonNeg(2), SecondOrder(2), NonNeg(1)],
+]
+
+
 @pytest.fixture
 def struct():
-    return ConeStructure([NonNeg(3), SecondOrder(4), Zero(2), SecondOrder(2)])
+    return ConeStructure(LAYOUTS[0])
+
+
+@pytest.fixture
+def structs():
+    return [ConeStructure(blocks) for blocks in LAYOUTS]
 
 
 def test_structure_layout(struct):
@@ -25,24 +38,25 @@ def test_structure_layout(struct):
     assert struct.degree == 5
 
 
-def test_identity_and_margin(struct):
-    e = struct.identity()
-    assert struct.margin(e) == 1.0
-    assert np.all(struct.prod(e, e) == e)
+def test_identity_and_margin(structs):
+    for struct in structs:
+        e = struct.identity()
+        assert struct.margin(e) == 1.0
+        assert np.all(struct.prod(e, e) == e)
 
 
-def test_jordan_div_roundtrip(struct):
+def test_jordan_div_roundtrip(structs):
     rng = np.random.default_rng(0)
-    for _ in range(20):
+    for struct in structs * 20:
         lmbda = random_interior(struct, rng)
         d = rng.standard_normal(struct.dim)
         w = struct.div(lmbda, d)
         assert np.allclose(struct.prod(lmbda, w), d, atol=1e-10)
 
 
-def test_nt_scaling_identities(struct):
+def test_nt_scaling_identities(structs):
     rng = np.random.default_rng(1)
-    for _ in range(25):
+    for struct in structs * 25:
         s = random_interior(struct, rng, scale=rng.uniform(0.1, 10))
         z = random_interior(struct, rng, scale=rng.uniform(0.1, 10))
         w = NTScaling(struct, s, z)
@@ -60,26 +74,44 @@ def test_nt_scaling_identities(struct):
         assert np.allclose(w.apply_inv_sq(d), w.apply_inv(w.apply_inv(d)), rtol=1e-10, atol=1e-10)
 
 
-def test_gram_matches_bruteforce(struct):
+def brute_gram(w, g):
+    dense = np.asarray(g)
+    return dense.T @ np.column_stack([w.apply_inv(w.apply_inv(col)) for col in dense.T])
+
+
+def test_gram_matches_bruteforce(structs):
     rng = np.random.default_rng(2)
-    g = rng.standard_normal((struct.dim, 5))
-    s = random_interior(struct, rng)
-    z = random_interior(struct, rng)
-    w = NTScaling(struct, s, z)
-    h = w.gram(RowMatrix.dense(g))
-    brute = np.column_stack([w.apply_inv(w.apply_inv(g[:, j])) for j in range(5)])
-    assert np.allclose(h, g.T @ brute, atol=1e-9)
-    # rows stored as scaled copies of a few rows of K give the same answer
-    kmat = rng.standard_normal((3, 5))
-    rows = RowMatrix(kmat, rng.integers(0, 3, struct.dim), rng.standard_normal(struct.dim))
-    dense = np.asarray(rows)
-    brute = np.column_stack([w.apply_inv(w.apply_inv(dense[:, j])) for j in range(5)])
-    assert np.allclose(w.gram(rows), dense.T @ brute, atol=1e-9)
+    # K with an all-zero row (0), single-entry rows (1, 2), rows with more
+    # entries (3, 5) and a row no cone row copies (4), the only one that
+    # reaches column 0
+    kmat = np.zeros((6, 5))
+    kmat[1, 2] = 1.5
+    kmat[2, 4] = -0.5
+    kmat[3, 1:] = rng.standard_normal(4)
+    kmat[4] = rng.standard_normal(5)
+    kmat[5, [1, 3]] = rng.standard_normal(2)
+    for struct in structs:
+        s = random_interior(struct, rng)
+        z = random_interior(struct, rng)
+        w = NTScaling(struct, s, z)
+        g = RowMatrix.dense(rng.standard_normal((struct.dim, 5)))
+        assert np.allclose(w.gram(GramPlan(struct, g)), brute_gram(w, g), atol=1e-9)
+        # rows stored as scaled copies of a few rows of K give the same answer
+        rows = RowMatrix(kmat[:3], rng.integers(0, 3, struct.dim), rng.standard_normal(struct.dim))
+        assert np.allclose(w.gram(GramPlan(struct, rows)), brute_gram(w, rows), atol=1e-9)
+        # every kind of K row on nonneg and second-order rows alike
+        idx = rng.choice([0, 1, 2, 3, 5], struct.dim)
+        idx[struct.soc_starts] = 1
+        idx[struct.nn_idx[:2]] = [2, 5]
+        rows = RowMatrix(kmat, idx, rng.standard_normal(struct.dim))
+        h = w.gram(GramPlan(struct, rows))
+        assert np.allclose(h, brute_gram(w, rows), atol=1e-9)
+        assert not h[0].any() and not h[:, 0].any()
 
 
-def test_max_step(struct):
+def test_max_step(structs):
     rng = np.random.default_rng(3)
-    for _ in range(50):
+    for struct in structs * 50:
         u = random_interior(struct, rng)
         du = rng.standard_normal(struct.dim)
         alpha = struct.max_step(u, du)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from allocation_oracle import dense_program
 from riskbudget.allocation import AllocationProblem, build_program
-from riskbudget.cones import ConeStructure, NTScaling, Zero
+from riskbudget.cones import ConeStructure, GramPlan, NTScaling, Zero
 from riskbudget.solver import RowMatrix
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -87,11 +87,11 @@ def test_gram_matches_dense(problem, seed):
     keep = cone_rows(cones)
     struct = ConeStructure(cones)
     w = NTScaling(struct, interior(struct, rng), interior(struct, rng))
-    h = w.gram(build_program(problem).A.take(keep))
+    h = w.gram(GramPlan(struct, build_program(problem).A.take(keep)))
     g = a[keep]
     brute = g.T @ np.column_stack([w.apply_inv(w.apply_inv(col)) for col in g.T])
     scale = np.abs(brute).max()
-    assert np.abs(h - w.gram(RowMatrix.dense(g))).max() <= 1e-12 * scale
+    assert np.abs(h - w.gram(GramPlan(struct, RowMatrix.dense(g)))).max() <= 1e-12 * scale
     assert np.abs(h - brute).max() <= 1e-12 * scale
 
 

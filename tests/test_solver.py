@@ -7,6 +7,7 @@ from riskbudget.cones import NonNeg, SecondOrder, Zero
 from riskbudget.solver import (
     ConeProgram,
     ProgramValidationError,
+    SolverOptions,
     SolveStatus,
     dump_program,
     solve,
@@ -186,6 +187,10 @@ def battery():
     b = Builder(2).eq([[1.0, 1.0], [2.0, 2.0]], [1.0, 2.0]).leq(-np.eye(2), np.zeros(2))
     probs.append(("redundant eq", b.program([1.0, 0.0]), 0.0))
 
+    # 21. no variables: a constant slack in the cone
+    b = Builder(0).leq(np.zeros((1, 0)), 1.0)
+    probs.append(("no variables", b.program([]), 0.0))
+
     return probs
 
 
@@ -207,6 +212,17 @@ def test_unbounded_status():
     b = Builder(1).leq([[-1.0]], 0.0)
     sol = solve(b.program([-1.0]))
     assert sol.status is SolveStatus.Unbounded
+
+
+@pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
+def test_singular_kkt_without_regularization_fails_cleanly():
+    # a duplicated equality row makes the unregularized KKT matrix exactly
+    # singular: the solve must report the failure, not raise
+    b = Builder(2).eq([np.ones(2), np.ones(2)], [1.0, 1.0]).leq(-np.eye(2), np.zeros(2))
+    sol = solve(b.program([1.0, 2.0]), SolverOptions(reg=0.0))
+    assert sol.status is SolveStatus.NumericalFailure
+    # the default regularization solves the same program
+    assert solve(b.program([1.0, 2.0])).status is SolveStatus.Optimal
 
 
 def test_min_variance_matches_active_set_oracle():
