@@ -119,10 +119,10 @@ class ConeStructure:
         """Smallest distance of ``u`` from every block boundary (can be < 0)."""
         m = np.inf
         if self.nn_idx.size:
-            m = min(m, float(np.min(u[self.nn_idx])))
+            m = min(m, float(u[self.nn_idx].min()))
         if self.soc_starts.size:
             tails = np.sqrt(self.tail_dot(u, u))
-            m = min(m, float(np.min(u[self.soc_starts] - tails)))
+            m = min(m, float((u[self.soc_starts] - tails).min()))
         return m
 
     def prod(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -152,8 +152,8 @@ class ConeStructure:
         if self.nn_idx.size:
             un, dn = u[self.nn_idx], du[self.nn_idx]
             neg = dn < 0
-            if np.any(neg):
-                alpha = min(alpha, float(np.min(-un[neg] / dn[neg])))
+            if neg.any():
+                alpha = min(alpha, float((-un[neg] / dn[neg]).min()))
         if self.soc_starts.size:
             alpha = min(alpha, _soc_max_step(self.jdot(du, du), 2.0 * self.jdot(u, du),
                                              self.jdot(u, u)))

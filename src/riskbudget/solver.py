@@ -54,6 +54,11 @@ log = logging.getLogger("riskbudget.solver")
 # more than the solve itself on the small KKT systems of a backtest
 (_GETRS,) = sla.get_lapack_funcs(("getrs",), dtype=np.float64)
 
+# fraction of the distance to the cone boundary that a step travels
+STEP_BACKOFF = 0.99
+# iterative-refinement passes per KKT solve once the barrier is small
+REFINE_STEPS = 2
+
 
 def _norm(v: np.ndarray) -> float:
     """Euclidean norm of a vector, as ``np.linalg.norm`` computes it."""
@@ -161,11 +166,7 @@ class SolverOptions:
     tol_feas: float = 1e-8
     tol_gap: float = 1e-8
     max_iters: int = 200
-    step_backoff: float = 0.99
-    refine_steps: int = 2
     reg: float = 1e-11
-    restarts: int = 2
-    verbose: bool = False
 
 
 @dataclass
@@ -176,7 +177,9 @@ class ConeSolution:
     ``dual`` holds one multiplier per row of A (the infeasibility
     certificate when status is Infeasible); ``slack`` is ``b - A x`` on
     cone rows and 0 on Zero rows. Residuals are the scale-normalized
-    primal/dual feasibility errors and the relative duality gap.
+    primal/dual feasibility errors and the relative duality gap, at the
+    best point seen. ``iterations`` is the number of interior-point
+    iterations performed (Newton systems formed), polish included.
     """
 
     status: SolveStatus
@@ -213,7 +216,7 @@ def validate(p: ConeProgram) -> list[str]:
     if total != p.b.size:
         defects.append(f"cone dims sum to {total} but A has {p.b.size} rows")
     for name, arrs in (("c", [p.c]), ("A", [p.A.K, p.A.scale]), ("b", [p.b])):
-        if not all(np.all(np.isfinite(arr)) for arr in arrs):
+        if not all(np.isfinite(arr).all() for arr in arrs):
             defects.append(f"{name} contains non-finite entries")
     return defects
 
@@ -281,50 +284,22 @@ class _KKT:
             if rnorm <= 1e-14 * base:
                 break
             ex, ey, ez = self._reduced(res_x, res_y, res_3)
-            if not (np.all(np.isfinite(ex)) and np.all(np.isfinite(ey)) and np.all(np.isfinite(ez))):
+            if not (np.isfinite(ex).all() and np.isfinite(ey).all() and np.isfinite(ez).all()):
                 break
             dx, dy, dz = dx + ex, dy + ey, dz + ez
         return dx, dy, dz
 
 
-def solve(p: ConeProgram, opts: SolverOptions | None = None,
-          warm_start: ConeSolution | None = None) -> ConeSolution:
+def solve(p: ConeProgram, opts: SolverOptions | None = None) -> ConeSolution:
     """Solve a cone program; never raises for solvable-but-degenerate data.
 
     Malformed programs raise :class:`ProgramValidationError` before any
     iteration. All other outcomes are reported through the status field.
-    When an attempt stalls just above the tolerances, the iteration is
-    restarted from the re-centered best point (up to ``opts.restarts``
-    times), which typically recovers the last digits.
     """
     opts = opts or SolverOptions()
     defects = validate(p)
     if defects:
         raise ProgramValidationError(defects)
-
-    sol = _solve_once(p, opts, warm_start)
-    total_iters = sol.iterations
-    for _ in range(opts.restarts):
-        if sol.status not in (SolveStatus.NumericalFailure, SolveStatus.MaxIters):
-            break
-        metric = max(sol.primal_residual / opts.tol_feas, sol.dual_residual / opts.tol_feas,
-                     sol.gap / opts.tol_gap)
-        if not np.isfinite(metric) or metric > 1e4:
-            break
-        retry = _solve_once(p, opts, warm_start=sol)
-        total_iters += retry.iterations
-        retry_metric = max(retry.primal_residual / opts.tol_feas,
-                           retry.dual_residual / opts.tol_feas, retry.gap / opts.tol_gap)
-        if retry.status is SolveStatus.Optimal or retry_metric < metric:
-            sol = retry
-        else:
-            break
-    sol.iterations = total_iters
-    return sol
-
-
-def _solve_once(p: ConeProgram, opts: SolverOptions,
-                warm_start: ConeSolution | None = None) -> ConeSolution:
 
     zero_rows, cone_rows, cone_blocks = _row_partition(p)
     n = p.c.size
@@ -367,24 +342,9 @@ def _solve_once(p: ConeProgram, opts: SolverOptions,
     z = e.copy()
     s = e.copy()
     tau, kappa = 1.0, 1.0
-    if warm_start is not None and warm_start.primal.size == n and warm_start.dual.size == p.b.size:
-        x = warm_start.primal.copy()
-        if np.all(np.isfinite(x)):
-            y = warm_start.dual[zero_rows] * d_eq
-            z_w = warm_start.dual[cone_rows] * d_cone
-            s_w = warm_start.slack[cone_rows] / d_cone
-            # interior pad sized so the re-injected duality gap stays a
-            # fraction of the gap tolerance at this problem's scale
-            mass = 1.0 + float(np.abs(s_w).sum() + np.abs(z_w).sum())
-            pad = max(1e-13, 0.03 * opts.tol_gap * max(1.0, abs(c @ x)) / mass)
-            z = _lift(struct, z_w, pad)
-            s = _lift(struct, s_w, pad)
-            tau = 1.0
-            kappa = max((s @ z) / deg, 1e-14)
-        else:
-            x = np.zeros(n)
 
     norm_c = 1.0 + np.linalg.norm(c)
+    debug = log.isEnabledFor(logging.DEBUG)
 
     def report(status, iters, xr, yr, zr, sr, pres, dres, relgap, obj):
         dual = np.zeros(p.b.size)
@@ -396,11 +356,8 @@ def _solve_once(p: ConeProgram, opts: SolverOptions,
 
     best = None
     best_metric = np.inf
-    best_primal = None  # (pres, it, xt, st)
-    best_dual = None  # (dres, it, yt, zt)
-    exhausted = False
-    converged_at = None
-    centering_steps = 0
+    converged = False
+    iterations = 0  # Newton systems formed, polish included
     for it in range(opts.max_iters + 1):
         # residuals of the embedding
         r_d = aeq.T @ y + g.rmatvec(z) + c * tau
@@ -423,20 +380,15 @@ def _solve_once(p: ConeProgram, opts: SolverOptions,
         improved = metric < best_metric
         if improved:
             best_metric = metric
-            best = (it, xt, yt, zt, st, pres, dres, relgap, pobj)
-        if best_primal is None or pres < best_primal[0]:
-            best_primal = (pres, it, xt, st)
-        if best_dual is None or dres < best_dual[0]:
-            best_dual = (dres, it, yt, zt)
-        if opts.verbose:
-            log.info("iter %3d pres %.2e dres %.2e relgap %.2e tau %.2e kappa %.2e",
-                     it, pres, dres, relgap, tau, kappa)
+            best = (xt, yt, zt, st, pres, dres, relgap, pobj)
+        if debug:
+            log.debug("iter %3d pres %.2e dres %.2e relgap %.2e tau %.2e kappa %.2e",
+                      it, pres, dres, relgap, tau, kappa)
 
-        if metric <= 1.0 and converged_at is None:
-            converged_at = it
-        if converged_at is not None:
+        converged = converged or metric <= 1.0
+        if converged:
             # tolerance already met: polish while the error keeps dropping
-            if not improved or it - converged_at >= 8:
+            if not improved:
                 break
         else:
             # certificate checks
@@ -444,18 +396,17 @@ def _solve_once(p: ConeProgram, opts: SolverOptions,
             if ip < -1e-14:
                 nu = -1.0 / ip
                 if np.linalg.norm(aeq.T @ (nu * y) + g.rmatvec(nu * z)) <= opts.tol_feas * norm_c:
-                    return report(SolveStatus.Infeasible, it, np.full(n, np.nan),
+                    return report(SolveStatus.Infeasible, iterations, np.full(n, np.nan),
                                   nu * y, nu * z, np.full(m, np.nan), pres, dres, relgap, np.nan)
             ic = c @ x
             if ic < -1e-14:
                 nu = -1.0 / ic
                 if (np.linalg.norm((aeq @ (nu * x)) * d_eq) <= opts.tol_feas * norm_beq_orig
                         and np.linalg.norm((g @ (nu * x) + nu * s) * d_cone) <= opts.tol_feas * norm_h_orig):
-                    return report(SolveStatus.Unbounded, it, nu * x, np.full(aeq.shape[0], np.nan),
+                    return report(SolveStatus.Unbounded, iterations, nu * x, np.full(aeq.shape[0], np.nan),
                                   np.full(m, np.nan), nu * s, pres, dres, relgap, np.nan)
 
         if it == opts.max_iters:
-            exhausted = True
             break
         # the iterates have started degrading: stop and report the best seen
         if metric > 1e2 * best_metric:
@@ -464,7 +415,8 @@ def _solve_once(p: ConeProgram, opts: SolverOptions,
         mu = (s @ z + tau * kappa) / (deg + 1)
         # refinement earns its cost only once the barrier is small and the
         # scaled system turns ill-conditioned (mu starts near 1 cold)
-        refine = opts.refine_steps if mu <= 1e-2 else 0
+        refine = REFINE_STEPS if mu <= 1e-2 else 0
+        iterations += 1
         try:
             scaling = NTScaling(struct, s, z)
             kkt = _KKT(aeq, g, plan, scaling, opts.reg, refine)
@@ -506,9 +458,6 @@ def _solve_once(p: ConeProgram, opts: SolverOptions,
             # the gap has converged but feasibility lags: pure centering
             # steps polish the residuals without shrinking mu further into
             # the region where the scaling turns numerically singular
-            centering_steps += 1
-            if centering_steps > 25:
-                break
             sigma = 1.0
             d_s = -struct.prod(lmbda, lmbda) + sigma * mu * e
             d_kappa = -tau * kappa + sigma * mu
@@ -525,12 +474,11 @@ def _solve_once(p: ConeProgram, opts: SolverOptions,
             d_kappa = -tau * kappa + sigma * mu - aff[4] * aff[5]
             dx, dy, dz, ds, dtau, dkappa = direction(d_s, d_kappa)
 
-        if not all(np.all(np.isfinite(d)) for d in (dx, dy, dz, ds)) or not np.isfinite(dtau + dkappa):
+        if not all(np.isfinite(d).all() for d in (dx, dy, dz, ds)) or not np.isfinite(dtau + dkappa):
             break
-        alpha = opts.step_backoff * max_step(dz, ds, dtau, dkappa)
-        alpha = min(1.0, alpha)
-        if opts.verbose:
-            log.info("        alpha %.3e sigma %.3e mu %.3e", alpha, sigma, mu)
+        alpha = min(1.0, STEP_BACKOFF * max_step(dz, ds, dtau, dkappa))
+        if debug:
+            log.debug("        alpha %.3e sigma %.3e mu %.3e", alpha, sigma, mu)
         if not np.isfinite(alpha) or alpha <= 1e-13:
             break
 
@@ -543,46 +491,14 @@ def _solve_once(p: ConeProgram, opts: SolverOptions,
         if tau <= 0 or kappa <= 0 or struct.margin(s) <= 0 or struct.margin(z) <= 0:
             break
 
-    it, xt, yt, zt, st, pres, dres, relgap, pobj = best
-    if best_metric <= 1.0:
-        # iterations counts the steps to first reach the tolerances; the
-        # returned point may come from a later polishing iteration
-        return report(SolveStatus.Optimal, converged_at, xt, yt, zt, st, pres, dres, relgap, pobj)
-
-    # primal and dual accuracy often peak on different iterations; the
-    # cross-assembled pair is a valid solution whenever it passes the same
-    # three checks, which are recomputed here from scratch
-    if best_primal is not None and best_dual is not None:
-        presx, itp, xt2, st2 = best_primal
-        dresx, itd, yt2, zt2 = best_dual
-        pobj2 = c @ xt2
-        dobj2 = -(beq @ yt2 + h @ zt2)
-        gap2 = st2 @ zt2
-        relgap2 = gap2 / max(1.0, abs(pobj2), abs(dobj2))
-        if presx <= opts.tol_feas and dresx <= opts.tol_feas and relgap2 <= opts.tol_gap:
-            return report(SolveStatus.Optimal, max(itp, itd), xt2, yt2, zt2, st2,
-                          presx, dresx, relgap2, pobj2)
-
-    if exhausted:
+    xt, yt, zt, st, pres, dres, relgap, pobj = best
+    if converged:
+        status = SolveStatus.Optimal
+    elif it == opts.max_iters:
         status = SolveStatus.MaxIters
     else:
         status = SolveStatus.NumericalFailure
-    return report(status, it, xt, yt, zt, st, pres, dres, relgap, pobj)
-
-
-def _lift(struct: ConeStructure, u: np.ndarray, pad: float) -> np.ndarray:
-    """Move a point into the cone interior by the absolute margin ``pad``.
-
-    The pad trades interiority (room for the first steps) against the
-    duality gap it re-injects, roughly ``pad`` times the partner
-    magnitudes; callers size it accordingly.
-    """
-    out = np.asarray(u, dtype=float).copy()
-    if struct.nn_idx.size:
-        out[struct.nn_idx] = np.maximum(out[struct.nn_idx], pad)
-    for lo, hi in struct.soc_slices:
-        out[lo] = max(out[lo], np.linalg.norm(out[lo + 1 : hi]) + pad)
-    return out
+    return report(status, iterations, xt, yt, zt, st, pres, dres, relgap, pobj)
 
 
 def dump_program(p: ConeProgram, path) -> None:

@@ -1,8 +1,12 @@
 import itertools
+import os
 
 import numpy as np
 import pytest
 
+from riskbudget import solver as solver_module
+from riskbudget.allocation import build_program, problem_from_json
+from riskbudget.backtest import DEFAULT_SOLVER_OPTIONS
 from riskbudget.cones import NonNeg, SecondOrder, Zero
 from riskbudget.solver import (
     ConeProgram,
@@ -268,16 +272,6 @@ def test_weak_duality_on_optimal_exit():
         assert dual_obj <= sol.objective + 1e-6 * max(1.0, abs(sol.objective))
 
 
-def test_warm_start_self_consistency():
-    for _, prog, _ in battery()[:8]:
-        first = solve(prog)
-        if first.status is not SolveStatus.Optimal:
-            continue
-        again = solve(prog, warm_start=first)
-        assert again.status is SolveStatus.Optimal
-        assert again.iterations <= 5
-
-
 def test_objective_scaling_robustness():
     b = Builder(3).eq([np.ones(3)], 1.0).leq(-np.eye(3), np.zeros(3))
     prog = b.program([3.0, 1.0, 2.0])
@@ -293,6 +287,53 @@ def test_determinism():
     s1, s2 = solve(prog), solve(prog)
     assert np.array_equal(s1.primal, s2.primal)
     assert s1.iterations == s2.iterations
+
+
+# an MRB week of a seeded 16-asset backtest (lambda 1, mu 0.001) whose
+# accuracy stalls above the engine's 1e-7 tolerances
+DEGRADING_WEEK = os.path.join(os.path.dirname(__file__), "data", "degrading_week.json")
+
+
+def _degrading_week():
+    with open(DEGRADING_WEEK) as fh:
+        return build_program(problem_from_json(fh.read()))
+
+
+def test_degrading_iterates_end_the_solve():
+    # the solve stops once its iterates degrade (36 steps); without that
+    # test it runs on to 53 steps, until a step fails, for the same status
+    sol = solve(_degrading_week(), DEFAULT_SOLVER_OPTIONS)
+    assert sol.status is SolveStatus.NumericalFailure
+    assert sol.iterations <= 44
+    assert max(sol.primal_residual, sol.dual_residual, sol.gap) < 1e-4
+
+
+@pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
+def test_iterations_count_every_step(monkeypatch):
+    # one Newton system an iteration, polish included, whatever the status
+    scalings = []
+    real = solver_module.NTScaling
+
+    def counting(*args):
+        scalings.append(None)
+        return real(*args)
+
+    monkeypatch.setattr(solver_module, "NTScaling", counting)
+    singular = Builder(2).eq([np.ones(2), np.ones(2)], [1.0, 1.0]).leq(-np.eye(2), np.zeros(2))
+    cases = [(prog, None) for _, prog, _ in battery()] + [
+        (_degrading_week(), DEFAULT_SOLVER_OPTIONS),
+        (singular.program([1.0, 2.0]), SolverOptions(reg=0.0)),
+        (battery()[12][1], SolverOptions(max_iters=3)),
+        (Builder(2).eq([np.ones(2)], -1.0).leq(-np.eye(2), np.zeros(2)).program([1.0, 1.0]), None),
+        (Builder(1).leq([[-1.0]], 0.0).program([-1.0]), None),
+    ]
+    statuses = set()
+    for prog, opts in cases:
+        scalings.clear()
+        sol = solve(prog, opts)
+        statuses.add(sol.status)
+        assert sol.iterations == len(scalings)
+    assert statuses == set(SolveStatus)
 
 
 class TestValidate:
