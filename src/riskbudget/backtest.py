@@ -25,8 +25,8 @@ from datetime import date
 import numpy as np
 
 from .allocation import AllocationError, AllocationProblem, solve_allocation
-from .data import WeeklyPanel, returns as panel_returns
-from .linalg import NotPositiveDefinite, covariance, nearest_psd, symmetric_eig
+from .data import WeeklyPanel, _opened, returns as panel_returns
+from .linalg import NotPositiveDefinite, covariance, psd_from_eig, symmetric_eig
 from .solver import SolverOptions
 
 __all__ = [
@@ -169,15 +169,16 @@ def prepare_covariance(history, psd_eps: float | None = None) -> np.ndarray:
     semidefinite matrix under the floor. Rank deficiency is routine while
     the history is shorter than the asset count; gating on the spectrum
     rather than a factorization attempt keeps the decision independent of
-    asset ordering and roundoff luck.
+    asset ordering and roundoff luck. The repair reuses the gate's
+    eigendecomposition, so a repaired week takes one.
     """
     s = covariance(history)
     eps = psd_eps if psd_eps is not None else 1e-8 * float(np.mean(np.diag(s)))
     eps = max(eps, 1e-16)
-    w, _ = symmetric_eig(s)
+    w, v = symmetric_eig(s)
     if w[0] >= eps:
         return s
-    return nearest_psd(s, eps)
+    return psd_from_eig(w, v, eps)
 
 
 def strategy_weights(t: int, state: EngineState, cfg: BacktestConfig) -> tuple[np.ndarray, float]:
@@ -296,9 +297,7 @@ def run(panel: WeeklyPanel, cfg: BacktestConfig) -> BacktestLedger:
 def ledger_to_csv(ledger: BacktestLedger, destination) -> None:
     """Columns: date, value, one weight column per asset, leverage, cost,
     turnover, abstained."""
-    own = not hasattr(destination, "write")
-    fh = open(destination, "w", newline="") if own else destination
-    try:
+    with _opened(destination, "w") as fh:
         cols = ["date", "value"] + [f"w_{t}" for t in ledger.tickers] + \
             ["leverage", "cost", "turnover", "abstained"]
         fh.write(",".join(cols) + "\n")
@@ -308,16 +307,11 @@ def ledger_to_csv(ledger: BacktestLedger, destination) -> None:
             row += [repr(float(ledger.leverage[i])), repr(float(ledger.costs[i])),
                     repr(float(ledger.turnover[i])), str(bool(ledger.abstained[i]))]
             fh.write(",".join(row) + "\n")
-    finally:
-        if own:
-            fh.close()
 
 
 def ledger_from_csv(source, strategy: str = "") -> BacktestLedger:
     """Rebuild a ledger from :func:`ledger_to_csv` output (prices excluded)."""
-    own = not hasattr(source, "read")
-    fh = open(source, "r", newline="") if own else source
-    try:
+    with _opened(source) as fh:
         header = fh.readline().strip().split(",")
         if header[:2] != ["date", "value"] or header[-4:] != ["leverage", "cost", "turnover", "abstained"]:
             raise ValueError(f"unrecognized ledger header {header!r}")
@@ -334,9 +328,6 @@ def ledger_from_csv(source, strategy: str = "") -> BacktestLedger:
             costs.append(float(parts[-3]))
             turns.append(float(parts[-2]))
             abst.append(parts[-1] == "True")
-    finally:
-        if own:
-            fh.close()
     return BacktestLedger(
         strategy=strategy,
         tickers=tickers,

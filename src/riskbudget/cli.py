@@ -103,6 +103,32 @@ def _solver_options(args) -> SolverOptions | None:
     return opts
 
 
+def _write_tables(ledgers, top: int, out_dir: str | None, text_files: bool) -> str:
+    """Summary and top-``top`` drawdown tables of ``ledgers``.
+
+    Writes ``summary.csv`` and ``drawdowns.csv`` into ``out_dir`` (when
+    given), plus their aligned ``.txt`` forms when ``text_files``, and
+    returns the aligned text of both tables for printing.
+    """
+    stats = {name: summary(led) for name, led in ledgers.items()}
+    # the 1.0 inception point shares the first ledger date as its label
+    eps = {name: drawdowns(np.concatenate([[1.0], led.values]),
+                           dates=[led.dates[0]] + list(led.dates))
+           for name, led in ledgers.items()}
+    texts = {"drawdowns": format_drawdown_table(eps, top=top),
+             "summary": format_summary_table(stats)}
+    if out_dir:
+        rows = {"drawdowns": drawdown_table_rows(eps, top=top),
+                "summary": summary_table_rows(stats)}
+        os.makedirs(out_dir, exist_ok=True)
+        for name, text in texts.items():
+            if text_files:
+                _atomic_write(os.path.join(out_dir, f"{name}.txt"), text + "\n")
+            _atomic_write(os.path.join(out_dir, f"{name}.csv"),
+                          "\n".join(",".join(r) for r in rows[name]) + "\n")
+    return texts["summary"] + "\n\n" + texts["drawdowns"]
+
+
 def cmd_solve(args) -> int:
     try:
         with open(args.config) as fh:
@@ -170,9 +196,7 @@ def _parse_backtest_config(path: str):
 
 def cmd_backtest(args) -> int:
     try:
-        with open(args.prices) as fh:
-            daily = load_csv(fh, ticker=os.path.splitext(os.path.basename(args.prices))[0])
-        panel = to_weekly(daily)
+        panel = to_weekly(load_csv(args.prices))
         strategies, cfg_kwargs, config_doc = _parse_backtest_config(args.config)
         if args.strategies:
             strategies = [normalize_strategy(s) for s in args.strategies.split(",")]
@@ -196,20 +220,7 @@ def cmd_backtest(args) -> int:
         ledger_to_csv(ledger, buf)
         _atomic_write(os.path.join(args.out_dir, f"ledger_{strat}.csv"), buf.getvalue())
 
-    stats = {s: summary(led) for s, led in ledgers.items()}
-    # the 1.0 inception point shares the first ledger date as its label
-    eps = {s: drawdowns(np.concatenate([[1.0], led.values]),
-                        dates=[led.dates[0]] + list(led.dates))
-           for s, led in ledgers.items()}
-    dd_text = format_drawdown_table(eps, top=args.top)
-    stats_text = format_summary_table(stats)
-    _atomic_write(os.path.join(args.out_dir, "drawdowns.txt"), dd_text + "\n")
-    _atomic_write(os.path.join(args.out_dir, "summary.txt"), stats_text + "\n")
-    _atomic_write(os.path.join(args.out_dir, "drawdowns.csv"),
-                  "\n".join(",".join(r) for r in drawdown_table_rows(eps, top=args.top)) + "\n")
-    _atomic_write(os.path.join(args.out_dir, "summary.csv"),
-                  "\n".join(",".join(r) for r in summary_table_rows(stats)) + "\n")
-
+    report = _write_tables(ledgers, args.top, args.out_dir, text_files=True)
     manifest = {
         "version": __version__,
         "timestamp": datetime.now(timezone.utc).isoformat(),
@@ -222,9 +233,7 @@ def cmd_backtest(args) -> int:
     }
     _atomic_write(os.path.join(args.out_dir, "manifest.json"),
                   json.dumps(manifest, indent=2) + "\n")
-    print(stats_text)
-    print()
-    print(dd_text)
+    print(report)
     return EXIT_OK
 
 
@@ -240,21 +249,7 @@ def cmd_report(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 
-    stats = {name: summary(led) for name, led in ledgers.items()}
-    eps = {name: drawdowns(np.concatenate([[1.0], led.values]),
-                           dates=[led.dates[0]] + list(led.dates))
-           for name, led in ledgers.items()}
-    dd_text = format_drawdown_table(eps, top=args.top)
-    stats_text = format_summary_table(stats)
-    print(stats_text)
-    print()
-    print(dd_text)
-    if args.out_dir:
-        os.makedirs(args.out_dir, exist_ok=True)
-        _atomic_write(os.path.join(args.out_dir, "drawdowns.csv"),
-                      "\n".join(",".join(r) for r in drawdown_table_rows(eps, top=args.top)) + "\n")
-        _atomic_write(os.path.join(args.out_dir, "summary.csv"),
-                      "\n".join(",".join(r) for r in summary_table_rows(stats)) + "\n")
+    print(_write_tables(ledgers, args.top, args.out_dir, text_files=False))
     return EXIT_OK
 
 

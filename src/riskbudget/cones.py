@@ -43,31 +43,37 @@ ConeBlock = Zero | NonNeg | SecondOrder
 
 
 class ConeStructure:
-    """Index bookkeeping for the NonNeg x SecondOrder part of a cone list.
+    """Index bookkeeping for a cone list, built in one pass over its blocks.
 
-    Positions are relative to the stacked *cone rows only* (Zero rows
-    removed, original order preserved, so SecondOrder blocks stay
-    contiguous). Per-block quantities are segmented sums over the whole
-    vector (``np.add.reduceat`` at the block starts) with 0/1 and sign
-    masks that vanish off the second-order rows, so no operation loops
-    over blocks in Python.
+    ``zero_rows`` and ``cone_rows`` are the positions of the Zero rows and
+    of all other rows in the program's row order. Every other position is
+    relative to the stacked *cone rows only* (Zero rows removed, original
+    order preserved, so SecondOrder blocks stay contiguous). Per-block
+    quantities are segmented sums over the whole vector
+    (``np.add.reduceat`` at the block starts) with 0/1 and sign masks that
+    vanish off the second-order rows, so no operation loops over blocks in
+    Python.
     """
 
     def __init__(self, blocks):
-        nn_idx = []
-        soc_slices = []
-        pos = 0
+        zero_rows, cone_rows, nn_idx, soc_slices = [], [], [], []
+        row = pos = 0
         for blk in blocks:
+            if not isinstance(blk, (Zero, NonNeg, SecondOrder)):
+                raise TypeError(f"unknown cone block {blk!r}")
+            rows = range(row, row + blk.dim)
+            row += blk.dim
             if isinstance(blk, Zero):
+                zero_rows.extend(rows)
                 continue
+            cone_rows.extend(rows)
             if isinstance(blk, NonNeg):
                 nn_idx.extend(range(pos, pos + blk.dim))
-                pos += blk.dim
-            elif isinstance(blk, SecondOrder):
-                soc_slices.append((pos, pos + blk.dim))
-                pos += blk.dim
             else:
-                raise TypeError(f"unknown cone block {blk!r}")
+                soc_slices.append((pos, pos + blk.dim))
+            pos += blk.dim
+        self.zero_rows = np.asarray(zero_rows, dtype=int)
+        self.cone_rows = np.asarray(cone_rows, dtype=int)
         self.dim = pos
         self.nn_idx = np.asarray(nn_idx, dtype=int)
         self.soc_slices = soc_slices

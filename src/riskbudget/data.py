@@ -10,6 +10,7 @@ holes. Simple returns feed the covariance and momentum machinery.
 
 from __future__ import annotations
 
+import contextlib
 import os
 from dataclasses import dataclass
 from datetime import date
@@ -81,10 +82,15 @@ class WeeklyPanel:
         return len(self.tickers)
 
 
-def _open(source):
-    if hasattr(source, "read"):
-        return source, None
-    return open(source, "r", newline=""), os.path.splitext(os.path.basename(str(source)))[0]
+@contextlib.contextmanager
+def _opened(target, mode: str = "r"):
+    """``target`` itself when it is a file object, else the file at that
+    path, opened in text ``mode`` and closed on exit."""
+    if hasattr(target, "write" if "w" in mode else "read"):
+        yield target
+    else:
+        with open(target, mode, newline="") as fh:
+            yield fh
 
 
 def load_csv(source, ticker: str | None = None) -> dict[str, PriceSeries]:
@@ -97,8 +103,7 @@ def load_csv(source, ticker: str | None = None) -> dict[str, PriceSeries]:
     (date, ticker) pairs and non-positive prices are rejected with the
     offending line number.
     """
-    fh, stem = _open(source)
-    try:
+    with _opened(source) as fh:
         header = fh.readline()
         if not header.strip():
             raise ParseError("empty input, expected a header row", line=1)
@@ -107,7 +112,8 @@ def load_csv(source, ticker: str | None = None) -> dict[str, PriceSeries]:
             long_format = True
         elif cols == ["date", "close"]:
             long_format = False
-            ticker = ticker or stem
+            if not ticker and fh is not source:
+                ticker = os.path.splitext(os.path.basename(str(source)))[0]
             if not ticker:
                 raise ParseError("single-asset format needs a ticker name "
                                  "(pass ticker= or load from a named file)", line=1)
@@ -139,9 +145,6 @@ def load_csv(source, ticker: str | None = None) -> dict[str, PriceSeries]:
                 raise ParseError(f"duplicate row for {name} on {day.isoformat()}", line=lineno)
             seen.add((name, day))
             rows.setdefault(name, []).append((day, close))
-    finally:
-        if not hasattr(source, "read"):
-            fh.close()
 
     if not rows:
         raise ParseError("no data rows found")
@@ -194,21 +197,15 @@ def returns(panel: WeeklyPanel) -> np.ndarray:
 
 def panel_to_csv(panel: WeeklyPanel, destination) -> None:
     """Write the wide format ``date,T1,...,TN``; floats keep full precision."""
-    own = not hasattr(destination, "write")
-    fh = open(destination, "w", newline="") if own else destination
-    try:
+    with _opened(destination, "w") as fh:
         fh.write("date," + ",".join(panel.tickers) + "\n")
         for day, row in zip(panel.dates, panel.prices):
             fh.write(day.isoformat() + "," + ",".join(repr(float(v)) for v in row) + "\n")
-    finally:
-        if own:
-            fh.close()
 
 
 def panel_from_csv(source) -> WeeklyPanel:
     """Read the wide format written by :func:`panel_to_csv` (bit-exact)."""
-    fh, _ = _open(source)
-    try:
+    with _opened(source) as fh:
         header = fh.readline().strip()
         cols = header.split(",")
         if len(cols) < 2 or cols[0].strip().lower() != "date":
@@ -227,9 +224,6 @@ def panel_from_csv(source) -> WeeklyPanel:
                 rows.append([float(v) for v in parts[1:]])
             except ValueError as exc:
                 raise ParseError(str(exc), line=lineno) from None
-    finally:
-        if not hasattr(source, "read"):
-            fh.close()
     if not rows:
         raise ParseError("no data rows found")
     return WeeklyPanel(dates=tuple(dates), tickers=tickers, prices=np.array(rows))

@@ -2,8 +2,9 @@
 
 Cholesky factorization with pivot-level failure reporting, a symmetric
 eigensolver (LAPACK through numpy), Frobenius-nearest positive semidefinite
-repair, and sample covariance estimation. Everything operates on plain
-numpy arrays and is pure: no function mutates its inputs.
+repair (also from an eigendecomposition in hand), and sample covariance
+estimation. Everything operates on plain numpy arrays and is pure: no
+function mutates its inputs.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ __all__ = [
     "cholesky",
     "symmetric_eig",
     "nearest_psd",
+    "psd_from_eig",
     "covariance",
 ]
 
@@ -104,9 +106,13 @@ def nearest_psd(c, eps: float = 0.0) -> NDArray[np.float64]:
     """
     if eps < 0:
         raise ValueError("eps must be nonnegative")
-    w, v = symmetric_eig(c)
-    w = np.maximum(w, eps)
-    out = (v * w) @ v.T
+    return psd_from_eig(*symmetric_eig(c), eps)
+
+
+def psd_from_eig(w, v, eps: float) -> NDArray[np.float64]:
+    """``v @ diag(max(w, eps)) @ v.T``, symmetrized: the repair of
+    :func:`nearest_psd` from an eigendecomposition ``(w, v)`` already in hand."""
+    out = (v * np.maximum(w, eps)) @ v.T
     return 0.5 * (out + out.T)
 
 

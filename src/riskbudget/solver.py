@@ -58,6 +58,11 @@ log = logging.getLogger("riskbudget.solver")
 STEP_BACKOFF = 0.99
 # iterative-refinement passes per KKT solve once the barrier is small
 REFINE_STEPS = 2
+# diagonal regularization of the KKT matrix, in units of max(1, mean diagonal of H)
+REG = 1e-11
+# error below which polish stops even while it still falls: a hundred
+# roundoff units, past which an iteration only chases floating-point noise
+POLISH_FLOOR = 100 * np.finfo(float).eps
 
 
 def _norm(v: np.ndarray) -> float:
@@ -166,7 +171,6 @@ class SolverOptions:
     tol_feas: float = 1e-8
     tol_gap: float = 1e-8
     max_iters: int = 200
-    reg: float = 1e-11
 
 
 @dataclass
@@ -221,20 +225,6 @@ def validate(p: ConeProgram) -> list[str]:
     return defects
 
 
-def _row_partition(p: ConeProgram):
-    zero_rows, cone_rows, cone_blocks = [], [], []
-    pos = 0
-    for blk in p.cones:
-        idx = list(range(pos, pos + blk.dim))
-        if isinstance(blk, Zero):
-            zero_rows.extend(idx)
-        else:
-            cone_rows.extend(idx)
-            cone_blocks.append(blk)
-        pos += blk.dim
-    return np.asarray(zero_rows, dtype=int), np.asarray(cone_rows, dtype=int), cone_blocks
-
-
 class _KKT:
     """Factored reduced KKT system [[H, Aeq'], [Aeq, 0]] with H = G'W^-2 G.
 
@@ -244,7 +234,7 @@ class _KKT:
     forming H at extreme scalings.
     """
 
-    def __init__(self, aeq, g, plan, scaling, reg, refine_steps):
+    def __init__(self, aeq, g, plan, scaling, refine_steps):
         n = g.shape[1]
         p = aeq.shape[0]
         h = scaling.gram(plan)
@@ -254,9 +244,9 @@ class _KKT:
             mreg[:n, n:] = aeq.T
             mreg[n:, :n] = aeq
         scale = max(1.0, float(np.trace(h)) / max(n, 1))
-        mreg[:n, :n] += reg * scale * np.eye(n)
+        mreg[:n, :n] += REG * scale * np.eye(n)
         if p:
-            mreg[n:, n:] -= reg * scale * np.eye(p)
+            mreg[n:, n:] -= REG * scale * np.eye(p)
         self.n, self.p = n, p
         self.aeq, self.g, self.scaling = aeq, g, scaling
         self.lu, self.piv = sla.lu_factor(mreg)
@@ -301,11 +291,11 @@ def solve(p: ConeProgram, opts: SolverOptions | None = None) -> ConeSolution:
     if defects:
         raise ProgramValidationError(defects)
 
-    zero_rows, cone_rows, cone_blocks = _row_partition(p)
+    struct = ConeStructure(p.cones)
+    zero_rows, cone_rows = struct.zero_rows, struct.cone_rows
     n = p.c.size
     aeq, beq = p.A.take(zero_rows).toarray(), p.b[zero_rows]
     g, h = p.A.take(cone_rows), p.b[cone_rows]
-    struct = ConeStructure(cone_blocks)
     m = struct.dim
     c = p.c
 
@@ -387,8 +377,9 @@ def solve(p: ConeProgram, opts: SolverOptions | None = None) -> ConeSolution:
 
         converged = converged or metric <= 1.0
         if converged:
-            # tolerance already met: polish while the error keeps dropping
-            if not improved:
+            # tolerance already met: polish while the error keeps dropping,
+            # down to the roundoff floor
+            if not improved or max(pres, dres, relgap) <= POLISH_FLOOR:
                 break
         else:
             # certificate checks
@@ -419,7 +410,7 @@ def solve(p: ConeProgram, opts: SolverOptions | None = None) -> ConeSolution:
         iterations += 1
         try:
             scaling = NTScaling(struct, s, z)
-            kkt = _KKT(aeq, g, plan, scaling, opts.reg, refine)
+            kkt = _KKT(aeq, g, plan, scaling, refine)
         except (sla.LinAlgError, FloatingPointError, ValueError):
             break
         lmbda = scaling.lmbda

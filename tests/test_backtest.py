@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import riskbudget.backtest as bt
+import riskbudget.linalg as linalg
 from riskbudget.backtest import (
     BacktestConfig,
     EngineState,
@@ -265,6 +266,23 @@ class TestPrepareCovariance:
         cov = prepare_covariance(hist, psd_eps=1e-6)
         np.linalg.cholesky(cov)  # now factorizable
         assert np.linalg.eigvalsh(cov)[0] >= 1e-6 - 1e-12
+
+    def test_repair_reuses_the_gate_eigendecomposition(self, monkeypatch):
+        hist = np.random.default_rng(16).standard_normal((3, 5)) * 0.02  # rank 2
+        s = linalg.covariance(hist)
+        expected = linalg.nearest_psd(s, 1e-8 * float(np.mean(np.diag(s))))
+        calls = []
+        real = linalg.symmetric_eig
+
+        def counting(a):
+            calls.append(None)
+            return real(a)
+
+        monkeypatch.setattr(linalg, "symmetric_eig", counting)
+        monkeypatch.setattr(bt, "symmetric_eig", counting)
+        cov = prepare_covariance(hist)
+        assert len(calls) == 1
+        assert np.array_equal(cov, expected)
 
 
 class TestLedgerCsv:

@@ -1,3 +1,6 @@
+import json
+import os
+
 import numpy as np
 import pytest
 
@@ -8,6 +11,11 @@ from riskbudget.budgeting import (
     solve_vanilla,
 )
 from riskbudget.linalg import NotPositiveDefinite
+
+# three assets, covariance condition number 9.4e10, one budget of 1.3e-4:
+# the damped Newton steps stall here and only the coordinate-descent
+# fallback reaches the tolerance
+VANILLA_FALLBACK = os.path.join(os.path.dirname(__file__), "data", "vanilla_fallback.json")
 
 
 def random_pd(n, rng, scale=0.03):
@@ -47,6 +55,13 @@ class TestSolveVanilla:
             x = solve_vanilla(c, b)
             rc = risk_contributions(c, x)
             assert np.abs(rc - b).max() <= 1e-7
+
+    def test_coordinate_descent_rescues_stalled_newton(self):
+        with open(VANILLA_FALLBACK) as fh:
+            doc = json.load(fh)
+        cov, b = np.array(doc["cov"]), np.array(doc["budgets"])
+        x = solve_vanilla(cov, b)
+        assert np.abs(risk_contributions(cov, x) - b).max() <= 1e-7
 
     def test_rejects_zero_budget(self):
         with pytest.raises(ValueError, match="strictly positive"):

@@ -219,11 +219,13 @@ def test_unbounded_status():
 
 
 @pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
-def test_singular_kkt_without_regularization_fails_cleanly():
+def test_singular_kkt_without_regularization_fails_cleanly(monkeypatch):
     # a duplicated equality row makes the unregularized KKT matrix exactly
     # singular: the solve must report the failure, not raise
     b = Builder(2).eq([np.ones(2), np.ones(2)], [1.0, 1.0]).leq(-np.eye(2), np.zeros(2))
-    sol = solve(b.program([1.0, 2.0]), SolverOptions(reg=0.0))
+    with monkeypatch.context() as patch:
+        patch.setattr(solver_module, "REG", 0.0)
+        sol = solve(b.program([1.0, 2.0]))
     assert sol.status is SolveStatus.NumericalFailure
     # the default regularization solves the same program
     assert solve(b.program([1.0, 2.0])).status is SolveStatus.Optimal
@@ -322,18 +324,32 @@ def test_iterations_count_every_step(monkeypatch):
     singular = Builder(2).eq([np.ones(2), np.ones(2)], [1.0, 1.0]).leq(-np.eye(2), np.zeros(2))
     cases = [(prog, None) for _, prog, _ in battery()] + [
         (_degrading_week(), DEFAULT_SOLVER_OPTIONS),
-        (singular.program([1.0, 2.0]), SolverOptions(reg=0.0)),
         (battery()[12][1], SolverOptions(max_iters=3)),
         (Builder(2).eq([np.ones(2)], -1.0).leq(-np.eye(2), np.zeros(2)).program([1.0, 1.0]), None),
         (Builder(1).leq([[-1.0]], 0.0).program([-1.0]), None),
     ]
     statuses = set()
-    for prog, opts in cases:
+
+    def check(prog, opts=None):
         scalings.clear()
         sol = solve(prog, opts)
         statuses.add(sol.status)
         assert sol.iterations == len(scalings)
+
+    for prog, opts in cases:
+        check(prog, opts)
+    monkeypatch.setattr(solver_module, "REG", 0.0)
+    check(singular.program([1.0, 2.0]))
     assert statuses == set(SolveStatus)
+
+
+def test_polish_stops_at_the_roundoff_floor():
+    # on this program each polish step cuts the error a hundredfold with no
+    # floor of its own; polish ends once the error reaches roundoff
+    prog = {name: p for name, p, _ in battery()}["no variables"]
+    sol = solve(prog)
+    assert sol.status is SolveStatus.Optimal
+    assert sol.iterations <= 10
 
 
 class TestValidate:
