@@ -17,11 +17,13 @@ test suite.
 from __future__ import annotations
 
 import json
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .budgeting import risk_contributions
+from .budgeting import DegeneratePortfolio, risk_contributions
 from .cones import NonNeg, SecondOrder, Zero
 from .linalg import cholesky
 from .solver import ConeProgram, ConeSolution, RowMatrix, SolveStatus, SolverOptions, solve
@@ -71,7 +73,9 @@ class AllocationProblem:
     trade-off, ``mu`` the proportional cost per unit turnover against
     ``prev_weights``, ``lower``/``upper`` the weight bounds (upper may hold
     +inf), and ``budgets`` the per-asset floors on the fractional risk
-    contribution, summing to at most 1.
+    contribution, summing to at most 1. Construction raises a
+    ``ValueError`` naming the field on data that breaks these rules or,
+    ``upper`` aside, is not finite.
     """
 
     cov: np.ndarray
@@ -86,9 +90,9 @@ class AllocationProblem:
 
     def __post_init__(self):
         cov = np.asarray(self.cov, dtype=float)
-        n = cov.shape[0] if cov.ndim == 2 else 0
         object.__setattr__(self, "cov", cov)
         object.__setattr__(self, "budgets", np.asarray(self.budgets, dtype=float).ravel())
+        n = self.size
 
         def vec(name, value, default):
             out = np.full(n, default) if value is None else np.asarray(value, dtype=float).ravel()
@@ -100,6 +104,29 @@ class AllocationProblem:
         vec("upper", self.upper, 1.0)
         if self.assets is not None:
             object.__setattr__(self, "assets", tuple(self.assets))
+        if cov.ndim != 2 or cov.shape != (n, n):
+            raise ValueError(f"cov shape {cov.shape} does not match {n} budgets")
+        for name in ("forecasts", "prev_weights", "lower", "upper"):
+            v = getattr(self, name)
+            if v.size != n:
+                raise ValueError(f"{name} has {v.size} entries, expected {n}")
+        if self.assets is not None and len(self.assets) != n:
+            raise ValueError(f"assets has {len(self.assets)} names, expected {n}")
+        for name in ("cov", "budgets", "forecasts", "prev_weights", "lower"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise ValueError(f"{name} has non-finite entries")
+        if np.isnan(self.upper).any():
+            raise ValueError("upper has NaN entries")
+        if not np.allclose(cov, cov.T, atol=1e-12):
+            raise ValueError("cov must be symmetric")
+        if np.any(self.budgets < 0):
+            raise ValueError("budgets must be nonnegative")
+        if self.budgets.sum() > 1.0 + 1e-12:
+            raise ValueError(f"budgets sum to {float(self.budgets.sum())!r} > 1")
+        if np.any(self.lower < 0) or np.any(self.upper < self.lower):
+            raise ValueError("bounds must satisfy 0 <= lower <= upper")
+        require_number("lambda", self.lam, 0)
+        require_number("mu", self.mu, 0)
 
     @property
     def size(self) -> int:
@@ -108,31 +135,11 @@ class AllocationProblem:
     def asset_name(self, i: int) -> str:
         return self.assets[i] if self.assets else f"asset {i}"
 
-    def validate(self) -> None:
-        n = self.size
-        if self.cov.ndim != 2 or self.cov.shape != (n, n):
-            raise ValueError(f"cov shape {self.cov.shape} does not match {n} budgets")
-        if not np.allclose(self.cov, self.cov.T, atol=1e-12):
-            raise ValueError("cov must be symmetric")
-        for name in ("forecasts", "prev_weights", "lower", "upper"):
-            v = getattr(self, name)
-            if v.size != n:
-                raise ValueError(f"{name} has {v.size} entries, expected {n}")
-        if self.assets is not None and len(self.assets) != n:
-            raise ValueError(f"assets has {len(self.assets)} names, expected {n}")
-        if np.any(self.budgets < 0):
-            raise ValueError("budgets must be nonnegative")
-        if self.budgets.sum() > 1.0 + 1e-12:
-            raise ValueError(f"budgets sum to {self.budgets.sum()!r} > 1")
-        if np.any(self.lower < 0) or np.any(self.upper < self.lower):
-            raise ValueError("bounds must satisfy 0 <= lower <= upper")
-        if self.lam < 0 or self.mu < 0:
-            raise ValueError("lam and mu must be nonnegative")
-        arrays = [self.cov, self.budgets, self.forecasts, self.prev_weights, self.lower]
-        if not all(np.all(np.isfinite(a)) for a in arrays):
-            raise ValueError("non-finite entries in problem data")
-        if np.any(np.isnan(self.upper)):
-            raise ValueError("non-finite entries in problem data")
+
+def require_number(name: str, value, low: float) -> None:
+    """Raise ``ValueError`` naming ``name`` unless ``value`` is a finite number >= ``low``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not low <= value < math.inf:
+        raise ValueError(f"{name} must be a finite number >= {low}, got {value!r}")
 
 
 @dataclass
@@ -158,7 +165,6 @@ def build_program(problem: AllocationProblem) -> ConeProgram:
     (about 7n rows), so the program takes O(n^2) memory although ``A``
     has n(n+2) cone rows of 3n+1 columns.
     """
-    problem.validate()
     c = problem.cov
     n = problem.size
     upper = cholesky(c)
@@ -240,17 +246,16 @@ def _infeasibility_report(problem: AllocationProblem) -> list[str]:
         if problem.budgets[i] > 0 and problem.upper[i] <= 0:
             report.append(f"{problem.asset_name(i)}: positive budget with zero upper bound")
     cap = np.minimum(problem.upper, 1.0)
-    if np.all(np.isfinite(cap)):
-        try:
-            rc_cap = risk_contributions(problem.cov, np.maximum(cap, 1e-16))
-            for i in range(problem.size):
-                if problem.budgets[i] > rc_cap[i] + 0.5:
-                    report.append(
-                        f"{problem.asset_name(i)}: budget {problem.budgets[i]:.3g} looks "
-                        f"unreachable under the upper bounds"
-                    )
-        except Exception:
-            pass
+    try:
+        rc_cap = risk_contributions(problem.cov, np.maximum(cap, 1e-16))
+        for i in range(problem.size):
+            if problem.budgets[i] > rc_cap[i] + 0.5:
+                report.append(
+                    f"{problem.asset_name(i)}: budget {problem.budgets[i]:.3g} looks "
+                    f"unreachable under the upper bounds"
+                )
+    except DegeneratePortfolio:
+        pass
     if not report:
         report.append("budgets and bounds jointly admit no portfolio")
     return report
@@ -343,9 +348,7 @@ def problem_from_json(source: str | dict) -> AllocationProblem:
         if len(row) != n:
             raise _field_error(f"cov[{i}]", f"has {len(row)} entries, expected {n}")
 
-    def vector(name, default):
-        if name not in doc:
-            return None if default is None else np.full(n, default)
+    def vector(name):
         v = doc[name]
         if not isinstance(v, list):
             raise _field_error(name, "expected a list")
@@ -356,8 +359,8 @@ def problem_from_json(source: str | dict) -> AllocationProblem:
         except (TypeError, ValueError):
             raise _field_error(name, "entries must be numbers") from None
 
-    def scalar(name, default):
-        v = doc.get(name, default)
+    def scalar(name):
+        v = doc[name]
         if not isinstance(v, (int, float)) or isinstance(v, bool):
             raise _field_error(name, "expected a number")
         return float(v)
@@ -366,19 +369,12 @@ def problem_from_json(source: str | dict) -> AllocationProblem:
     if assets is not None:
         if not isinstance(assets, list) or len(assets) != n or not all(isinstance(a, str) for a in assets):
             raise _field_error("assets", f"expected a list of {n} strings")
+    # absent fields take the defaults of AllocationProblem
+    kwargs = {name: vector(name) for name in ("budgets", "forecasts", "prev_weights", "lower", "upper")
+              if name in doc}
+    kwargs.update((attr, scalar(key)) for key, attr in (("lambda", "lam"), ("mu", "mu")) if key in doc)
     try:
-        problem = AllocationProblem(
-            cov=np.asarray(cov, dtype=float),
-            budgets=vector("budgets", None),
-            forecasts=vector("forecasts", 0.0),
-            lam=scalar("lambda", 1.0),
-            mu=scalar("mu", 0.0),
-            prev_weights=vector("prev_weights", 0.0),
-            lower=vector("lower", 0.0),
-            upper=vector("upper", 1.0),
-            assets=tuple(assets) if assets else None,
-        )
+        return AllocationProblem(cov=np.asarray(cov, dtype=float),
+                                 assets=tuple(assets) if assets else None, **kwargs)
     except (TypeError, ValueError) as exc:
         raise _field_error("$", str(exc)) from None
-    problem.validate()
-    return problem

@@ -28,6 +28,7 @@ __all__ = [
     "format_summary_table",
     "drawdown_table_rows",
     "summary_table_rows",
+    "align_rows",
 ]
 
 WEEKS_PER_YEAR = 52
@@ -140,15 +141,16 @@ def summary_table_rows(stats_by_name: dict[str, SummaryStats]) -> list[list[str]
     return rows
 
 
-def _align(rows: list[list[str]]) -> str:
+def align_rows(rows: list[list[str]]) -> str:
+    """Rows of text cells as lines of right-aligned columns, two spaces apart."""
     widths = [max(len(r[j]) for r in rows) for j in range(len(rows[0]))]
     return "\n".join("  ".join(cell.rjust(w) for cell, w in zip(row, widths)) for row in rows)
 
 
 def format_drawdown_table(episodes_by_name, top: int = 5, decimals: int = 3) -> str:
     """Aligned text table, one column per strategy, depths sorted descending."""
-    return _align(drawdown_table_rows(episodes_by_name, top, decimals))
+    return align_rows(drawdown_table_rows(episodes_by_name, top, decimals))
 
 
 def format_summary_table(stats_by_name) -> str:
-    return _align(summary_table_rows(stats_by_name))
+    return align_rows(summary_table_rows(stats_by_name))

@@ -24,7 +24,7 @@ from datetime import date
 
 import numpy as np
 
-from .allocation import AllocationError, AllocationProblem, solve_allocation
+from .allocation import AllocationError, AllocationProblem, expected_stats, require_number, solve_allocation
 from .data import WeeklyPanel, _opened, returns as panel_returns
 from .linalg import NotPositiveDefinite, covariance, psd_from_eig, symmetric_eig
 from .solver import SolverOptions
@@ -54,7 +54,7 @@ FIRST_DECISION = 3
 # engine-level solver default: 1e-7 formal tolerance is far beyond what
 # weekly fills resolve, and avoids spurious abstentions from the interior
 # point method's last-digit fragility at 1e-8 on point-in-time matrices
-DEFAULT_SOLVER_OPTIONS = SolverOptions(tol_feas=1e-7, tol_gap=1e-7)
+DEFAULT_SOLVER_OPTIONS = SolverOptions(tol=1e-7)
 
 
 def normalize_strategy(name: str) -> str:
@@ -73,6 +73,8 @@ class BacktestConfig:
     asset's cross-sectionally normalized positive cumulative return.
     ``psd_eps`` is the eigenvalue floor used when the point-in-time
     covariance needs repair; default scales with the mean variance.
+    A value out of range raises a ``ValueError`` naming the setting
+    (``lam`` by its config key, ``lambda``).
     """
 
     strategy: str = "MRB"
@@ -85,17 +87,18 @@ class BacktestConfig:
 
     def __post_init__(self):
         self.strategy = normalize_strategy(self.strategy)
-        if self.leverage_cap < 1:
-            raise ValueError("leverage_cap must be >= 1")
-        if self.lam < 0 or self.mu < 0:
-            raise ValueError("lam and mu must be nonnegative")
+        require_number("lambda", self.lam, 0)
+        require_number("mu", self.mu, 0)
+        require_number("leverage_cap", self.leverage_cap, 1)
+        if self.psd_eps is not None:
+            require_number("psd_eps", self.psd_eps, 0)
         if isinstance(self.budgets, str):
             if self.budgets != HALF_NORM_CUM_RETURN:
                 raise ValueError(f"unknown budget rule {self.budgets!r}")
         elif self.budgets is not None:
-            self.budgets = np.asarray(self.budgets, dtype=float).ravel()
-            if np.any(self.budgets < 0) or self.budgets.sum() > 1.0 + 1e-12:
-                raise ValueError("budgets must be nonnegative and sum to at most 1")
+            self.budgets = b = np.asarray(self.budgets, dtype=float).ravel()
+            if not np.isfinite(b).all() or np.any(b < 0) or b.sum() > 1.0 + 1e-12:
+                raise ValueError("budgets must be finite, nonnegative and sum to at most 1")
         if self.strategy not in ("CRB", "CRB_SMART") and self.budgets is None:
             raise ValueError(f"{self.strategy} requires budgets (vector or "
                              f"{HALF_NORM_CUM_RETURN!r})")
@@ -142,12 +145,7 @@ def budget_rule_half_norm(cum_returns) -> np.ndarray:
     asset is nonpositive the floors fall back to uniform 1/(2n). The
     output always sums to one half.
     """
-    cum = np.asarray(cum_returns, dtype=float).ravel()
-    pos = np.maximum(cum, 0.0)
-    total = pos.sum()
-    if total <= 0:
-        return np.full(cum.size, 0.5 / cum.size)
-    return 0.5 * pos / total
+    return 0.5 * benchmark_crb_smart(cum_returns)
 
 
 def benchmark_crb_smart(cum_returns) -> np.ndarray:
@@ -217,8 +215,8 @@ def strategy_weights(t: int, state: EngineState, cfg: BacktestConfig) -> tuple[n
     if cfg.strategy == "MRBA":
         return x, 1.0
 
-    sd_crb = float(np.sqrt(max(equal @ state.cov @ equal, 0.0)))
-    sd_mrb = float(np.sqrt(max(x @ state.cov @ x, 0.0)))
+    sd_crb = expected_stats(problem, equal)[1]
+    sd_mrb = expected_stats(problem, x)[1]
     lev = min(cfg.leverage_cap, sd_crb / sd_mrb) if sd_mrb > 0 else 1.0
     return lev * x, lev
 

@@ -6,13 +6,15 @@ Subcommands:
     Solve one allocation problem (schema documented in
     :mod:`riskbudget.allocation`); prints the result as JSON followed by a
     readable table. Exit code 0 on an optimal solution, 2 when the
-    problem is infeasible, 1 on any other error.
+    problem is infeasible, 1 on any other error, such as a ``--tol`` not
+    finite and > 0, a negative ``--max-iters`` or a bad document field.
 
 ``riskbudget backtest --prices prices.csv --config config.json --out-dir DIR
-[--strategies CRB,MRB,...]``
+[--strategies CRB,MRB,...] [--tol T] [--max-iters K]``
     Run the configured strategies over a daily prices CSV and write one
     ledger CSV per strategy, summary/drawdown tables (CSV and aligned
-    text), and a reproducibility manifest with input hashes.
+    text), and a reproducibility manifest with input hashes. A config key
+    left out takes the :class:`BacktestConfig` default; a bad one exits 1.
 
 ``riskbudget report LEDGER.csv [LEDGER.csv ...] [--top K] [--out-dir DIR]``
     Print the top-k drawdown table (one column per strategy) and summary
@@ -26,6 +28,7 @@ byte-identical outputs; the manifest's timestamp is the one exception.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import io
 import json
@@ -45,6 +48,7 @@ from .allocation import (
     solve_allocation,
 )
 from .analytics import (
+    align_rows,
     drawdowns,
     format_drawdown_table,
     format_summary_table,
@@ -53,11 +57,11 @@ from .analytics import (
     summary_table_rows,
 )
 from .backtest import (
+    DEFAULT_SOLVER_OPTIONS,
     STRATEGIES,
     BacktestConfig,
     ledger_from_csv,
     ledger_to_csv,
-    normalize_strategy,
     run,
 )
 from .data import EmptyIntersection, ParseError, load_csv, to_weekly
@@ -91,16 +95,10 @@ def _sha256(path: str) -> str:
     return digest.hexdigest()
 
 
-def _solver_options(args) -> SolverOptions | None:
-    """Explicit options when flags were given, else None for the callee's default."""
-    if args.tol is None and args.max_iters is None:
-        return None
-    opts = SolverOptions()
-    if args.tol is not None:
-        opts.tol_feas = opts.tol_gap = args.tol
-    if args.max_iters is not None:
-        opts.max_iters = args.max_iters
-    return opts
+def _solver_options(args, default: SolverOptions) -> SolverOptions:
+    """``default`` with the fields ``--tol`` and ``--max-iters`` set; out of range raises ``ValueError``."""
+    given = {"tol": args.tol, "max_iters": args.max_iters}
+    return dataclasses.replace(default, **{k: v for k, v in given.items() if v is not None})
 
 
 def _write_tables(ledgers, top: int, out_dir: str | None, text_files: bool) -> str:
@@ -131,6 +129,7 @@ def _write_tables(ledgers, top: int, out_dir: str | None, text_files: bool) -> s
 
 def cmd_solve(args) -> int:
     try:
+        opts = _solver_options(args, SolverOptions())
         with open(args.config) as fh:
             problem = problem_from_json(fh.read())
     except (OSError, json.JSONDecodeError, ValueError) as exc:
@@ -138,7 +137,7 @@ def cmd_solve(args) -> int:
         return EXIT_ERROR
 
     try:
-        result = solve_allocation(problem, _solver_options(args))
+        result = solve_allocation(problem, opts)
     except InfeasibleAllocation as exc:
         print(json.dumps({"status": "infeasible", "report": exc.report}, indent=2))
         return EXIT_INFEASIBLE
@@ -166,51 +165,43 @@ def cmd_solve(args) -> int:
     for i, name in enumerate(names):
         rows.append([name, f"{result.weights[i]:.6f}", f"{result.risk_contribs[i]:.6f}",
                      f"{problem.budgets[i]:.6f}", "yes" if result.binding_budgets[i] else "no"])
-    widths = [max(len(r[j]) for r in rows) for j in range(5)]
-    for row in rows:
-        print("  ".join(c.rjust(w) for c, w in zip(row, widths)))
+    print(align_rows(rows))
     return EXIT_OK
 
 
+# backtest config keys and the BacktestConfig fields they set
+CONFIG_FIELDS = {"budgets": "budgets", "lambda": "lam", "mu": "mu",
+                 "leverage_cap": "leverage_cap", "psd_eps": "psd_eps"}
+
+
 def _parse_backtest_config(path: str):
+    """The config document and the BacktestConfig fields it sets."""
     with open(path) as fh:
         doc = json.load(fh)
     if not isinstance(doc, dict):
         raise ValueError("config: expected a JSON object")
-    strategies = doc.get("strategies", list(STRATEGIES))
-    if not isinstance(strategies, list) or not strategies:
-        raise ValueError("config.strategies: expected a non-empty list")
-    strategies = [normalize_strategy(s) for s in strategies]
-    budgets = doc.get("budgets")
-    if isinstance(budgets, list):
-        budgets = np.asarray(budgets, dtype=float)
-    kwargs = {
-        "budgets": budgets,
-        "lam": float(doc.get("lambda", 1.0)),
-        "mu": float(doc.get("mu", 0.0)),
-        "leverage_cap": float(doc.get("leverage_cap", 1.5)),
-        "psd_eps": doc.get("psd_eps"),
-    }
-    return strategies, kwargs, doc
+    return doc, {field: doc[key] for key, field in CONFIG_FIELDS.items() if key in doc}
 
 
 def cmd_backtest(args) -> int:
     try:
         panel = to_weekly(load_csv(args.prices))
-        strategies, cfg_kwargs, config_doc = _parse_backtest_config(args.config)
-        if args.strategies:
-            strategies = [normalize_strategy(s) for s in args.strategies.split(",")]
+        config_doc, cfg_kwargs = _parse_backtest_config(args.config)
+        names = args.strategies.split(",") if args.strategies else config_doc.get("strategies", STRATEGIES)
+        if not isinstance(names, (list, tuple)) or not names:
+            raise ValueError("config.strategies: expected a non-empty list")
+        solver_opts = _solver_options(args, DEFAULT_SOLVER_OPTIONS)
+        # every config is built before any week runs, so a bad setting fails fast
+        configs = [BacktestConfig(strategy=s, solver_options=solver_opts, **cfg_kwargs) for s in names]
     except (OSError, json.JSONDecodeError, ValueError, ParseError, EmptyIntersection) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 
     os.makedirs(args.out_dir, exist_ok=True)
-    solver_opts = _solver_options(args)
     ledgers = {}
     try:
-        for strat in strategies:
-            cfg = BacktestConfig(strategy=strat, solver_options=solver_opts, **cfg_kwargs)
-            ledgers[strat] = run(panel, cfg)
+        for cfg in configs:
+            ledgers[cfg.strategy] = run(panel, cfg)
     except (ValueError, AllocationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR

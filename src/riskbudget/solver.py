@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import logging
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 
@@ -166,11 +167,21 @@ class ConeProgram:
         object.__setattr__(self, "cones", tuple(self.cones))
 
 
-@dataclass
+@dataclass(frozen=True)
 class SolverOptions:
-    tol_feas: float = 1e-8
-    tol_gap: float = 1e-8
+    """``tol`` bounds the scaled residuals, the relative gap and the
+    certificate tests alike; ``max_iters`` caps the iterations."""
+
+    tol: float = 1e-8
     max_iters: int = 200
+
+    def __post_init__(self):
+        if isinstance(self.tol, bool) or not isinstance(self.tol, numbers.Real) \
+                or not 0 < self.tol < math.inf:
+            raise ValueError(f"tol must be a finite number > 0, got {self.tol!r}")
+        if isinstance(self.max_iters, bool) or not isinstance(self.max_iters, numbers.Integral) \
+                or self.max_iters < 0:
+            raise ValueError(f"max_iters must be an integer >= 0, got {self.max_iters!r}")
 
 
 @dataclass
@@ -200,8 +211,6 @@ class ConeSolution:
 def validate(p: ConeProgram) -> list[str]:
     """Structural defects of ``p``; empty when well-formed."""
     defects = []
-    if p.c.ndim != 1:
-        defects.append("c must be a vector")
     m, n = p.A.shape
     if n != p.c.size:
         defects.append(f"dimension mismatch: A has {n} columns but c has {p.c.size} entries")
@@ -366,7 +375,8 @@ def solve(p: ConeProgram, opts: SolverOptions | None = None) -> ConeSolution:
         dobj = -(beq @ yt + h @ zt)
         gap_abs = st @ zt
         relgap = gap_abs / max(1.0, abs(pobj), abs(dobj))
-        metric = max(pres / opts.tol_feas, dres / opts.tol_feas, relgap / opts.tol_gap)
+        err = max(pres, dres, relgap)
+        metric = err / opts.tol
         improved = metric < best_metric
         if improved:
             best_metric = metric
@@ -379,21 +389,21 @@ def solve(p: ConeProgram, opts: SolverOptions | None = None) -> ConeSolution:
         if converged:
             # tolerance already met: polish while the error keeps dropping,
             # down to the roundoff floor
-            if not improved or max(pres, dres, relgap) <= POLISH_FLOOR:
+            if not improved or err <= POLISH_FLOOR:
                 break
         else:
             # certificate checks
             ip = beq @ y + h @ z
             if ip < -1e-14:
                 nu = -1.0 / ip
-                if np.linalg.norm(aeq.T @ (nu * y) + g.rmatvec(nu * z)) <= opts.tol_feas * norm_c:
+                if np.linalg.norm(aeq.T @ (nu * y) + g.rmatvec(nu * z)) <= opts.tol * norm_c:
                     return report(SolveStatus.Infeasible, iterations, np.full(n, np.nan),
                                   nu * y, nu * z, np.full(m, np.nan), pres, dres, relgap, np.nan)
             ic = c @ x
             if ic < -1e-14:
                 nu = -1.0 / ic
-                if (np.linalg.norm((aeq @ (nu * x)) * d_eq) <= opts.tol_feas * norm_beq_orig
-                        and np.linalg.norm((g @ (nu * x) + nu * s) * d_cone) <= opts.tol_feas * norm_h_orig):
+                if (np.linalg.norm((aeq @ (nu * x)) * d_eq) <= opts.tol * norm_beq_orig
+                        and np.linalg.norm((g @ (nu * x) + nu * s) * d_cone) <= opts.tol * norm_h_orig):
                     return report(SolveStatus.Unbounded, iterations, nu * x, np.full(aeq.shape[0], np.nan),
                                   np.full(m, np.nan), nu * s, pres, dres, relgap, np.nan)
 
@@ -445,7 +455,7 @@ def solve(p: ConeProgram, opts: SolverOptions | None = None) -> ConeSolution:
                 alpha = min(alpha, -kappa / dkappa)
             return alpha
 
-        if relgap <= 0.9 * opts.tol_gap and (pres > opts.tol_feas or dres > opts.tol_feas):
+        if relgap <= 0.9 * opts.tol and (pres > opts.tol or dres > opts.tol):
             # the gap has converged but feasibility lags: pure centering
             # steps polish the residuals without shrinking mu further into
             # the region where the scaling turns numerically singular

@@ -12,7 +12,6 @@ from riskbudget.linalg import cholesky
 
 def dense_program(problem):
     """``(c, A, b, cones)`` of the allocation program, with ``A`` dense."""
-    problem.validate()
     c = problem.cov
     n = problem.size
     upper = cholesky(c)

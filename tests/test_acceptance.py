@@ -36,7 +36,7 @@ def random_pd(n, rng, scale=0.03, jitter=0.1):
 # orderings) is checked at its stated value and keeps two or more orders
 # of margin over the solve accuracy; the battery and the risk-parity
 # criteria still run at the 1e-8 defaults.
-SWEEP_OPTS = SolverOptions(tol_feas=1e-7, tol_gap=1e-7)
+SWEEP_OPTS = SolverOptions(tol=1e-7)
 
 
 def two_asset_cov(s1, s2, rho):

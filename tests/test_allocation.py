@@ -23,6 +23,44 @@ def random_pd(n, rng, scale=0.03):
     return 0.5 * (c + c.T)
 
 
+BASE = {"cov": np.eye(2) * 0.04, "budgets": [0.4, 0.1]}
+
+
+class TestProblemValidation:
+    @pytest.mark.parametrize("fields, message", [
+        ({"cov": np.ones((2, 3))}, r"cov shape \(2, 3\) does not match 2 budgets"),
+        ({"budgets": [0.4]}, r"cov shape \(2, 2\) does not match 1 budgets"),
+        ({"forecasts": [0.0]}, "forecasts has 1 entries, expected 2"),
+        ({"prev_weights": [0.0] * 3}, "prev_weights has 3 entries, expected 2"),
+        ({"lower": [0.0]}, "lower has 1 entries, expected 2"),
+        ({"upper": [1.0]}, "upper has 1 entries, expected 2"),
+        ({"assets": ("A",)}, "assets has 1 names, expected 2"),
+        ({"cov": [[0.04, np.nan], [np.nan, 0.01]]}, "cov has non-finite entries"),
+        ({"budgets": [0.4, np.nan]}, "budgets has non-finite entries"),
+        ({"forecasts": [np.inf, 0.0]}, "forecasts has non-finite entries"),
+        ({"prev_weights": [np.nan, 0.0]}, "prev_weights has non-finite entries"),
+        ({"lower": [0.0, -np.inf]}, "lower has non-finite entries"),
+        ({"upper": [np.nan, 1.0]}, "upper has NaN entries"),
+        ({"cov": [[0.04, 0.001], [0.0, 0.01]]}, "cov must be symmetric"),
+        ({"budgets": [0.4, -0.1]}, "budgets must be nonnegative"),
+        ({"budgets": [0.6, 0.5]}, "budgets sum to 1.1 > 1"),
+        ({"lower": [-0.1, 0.0]}, "bounds must satisfy 0 <= lower <= upper"),
+        ({"lower": [0.5, 0.0], "upper": [0.4, 1.0]}, "bounds must satisfy 0 <= lower <= upper"),
+        ({"lam": -1.0}, "lambda must be a finite number >= 0, got -1.0"),
+        ({"lam": np.nan}, "lambda must be a finite number >= 0, got nan"),
+        ({"lam": np.inf}, "lambda must be a finite number >= 0, got inf"),
+        ({"mu": -0.001}, "mu must be a finite number >= 0"),
+        ({"mu": np.nan}, "mu must be a finite number >= 0"),
+    ])
+    def test_construction_rejects(self, fields, message):
+        with pytest.raises(ValueError, match=message):
+            AllocationProblem(**{**BASE, **fields})
+
+    def test_infinite_upper_and_defaults_accepted(self):
+        p = AllocationProblem(**BASE, upper=[np.inf, 1.0], lam=0, mu=np.float64(0.001))
+        assert np.array_equal(p.lower, [0.0, 0.0]) and np.array_equal(p.forecasts, [0.0, 0.0])
+
+
 class TestBuildProgram:
     def test_block_structure_two_assets(self):
         p = AllocationProblem(cov=np.eye(2) * 0.04, budgets=[0.5, 0.5], lam=1.0, mu=0.0)
@@ -119,6 +157,15 @@ class TestSolveAllocation:
             solve_allocation(p)
         assert exc.value.report
 
+    def test_upper_bound_hints(self):
+        # the second asset may not be held but has a floor; the caps sum to 0.5
+        p = AllocationProblem(cov=np.eye(2) * 0.04, budgets=[0.3, 0.3], upper=[0.5, 0.0],
+                              assets=("SPY", "AGG"))
+        with pytest.raises(InfeasibleAllocation) as exc:
+            solve_allocation(p)
+        assert exc.value.report == ["upper bounds sum to 0.5 < 1",
+                                    "AGG: positive budget with zero upper bound"]
+
     def test_lower_bounds_sum_above_one_is_infeasible(self):
         p = AllocationProblem(cov=np.eye(2) * 0.04, budgets=[0.2, 0.2],
                               lower=[0.8, 0.8], upper=[1.0, 1.0])
@@ -208,6 +255,21 @@ class TestJson:
     def test_wrong_length_vector_named(self):
         doc = {"cov": [[1.0, 0.0], [0.0, 1.0]], "budgets": [0.5, 0.5], "forecasts": [1.0]}
         with pytest.raises(ValueError, match="forecasts"):
+            problem_from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("lambda", float("nan"), "lambda must be a finite number >= 0, got nan"),
+        ("mu", float("inf"), "mu must be a finite number >= 0, got inf"),
+        ("lambda", None, "lambda: expected a number"),
+        ("mu", True, "mu: expected a number"),
+        ("forecasts", [0.0, "x"], "forecasts: entries must be numbers"),
+        ("upper", 1.0, "upper: expected a list"),
+        ("assets", ["A"], "assets: expected a list of 2 strings"),
+        ("budgets", [0.8, 0.8], "budgets sum to 1.6 > 1"),
+    ])
+    def test_bad_field_named(self, field, value, message):
+        doc = {"cov": [[1.0, 0.0], [0.0, 1.0]], "budgets": [0.5, 0.5], field: value}
+        with pytest.raises(ValueError, match=message):
             problem_from_json(json.dumps(doc))
 
     def test_defaults_applied(self):

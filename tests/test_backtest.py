@@ -88,6 +88,34 @@ class TestBenchmarks:
         assert cfg.strategy == "CRB_SMART"
 
 
+class TestConfigValidation:
+    @pytest.mark.parametrize("fields, message", [
+        ({"lam": None}, "lambda must be a finite number >= 0, got None"),
+        ({"lam": -1.0}, "lambda must be a finite number >= 0"),
+        ({"lam": "1"}, "lambda must be a finite number >= 0"),
+        ({"mu": np.nan}, "mu must be a finite number >= 0, got nan"),
+        ({"mu": True}, "mu must be a finite number >= 0"),
+        ({"leverage_cap": np.nan}, "leverage_cap must be a finite number >= 1, got nan"),
+        ({"leverage_cap": 0.5}, "leverage_cap must be a finite number >= 1"),
+        ({"leverage_cap": np.inf}, "leverage_cap must be a finite number >= 1"),
+        ({"psd_eps": np.nan}, "psd_eps must be a finite number >= 0, got nan"),
+        ({"psd_eps": -1e-8}, "psd_eps must be a finite number >= 0"),
+        ({"budgets": "half_norm"}, "unknown budget rule 'half_norm'"),
+        ({"budgets": [0.5, np.nan]}, "budgets must be finite, nonnegative and sum to at most 1"),
+        ({"budgets": [0.5, -0.1]}, "budgets must be finite, nonnegative and sum to at most 1"),
+        ({"budgets": [0.6, 0.5]}, "budgets must be finite, nonnegative and sum to at most 1"),
+        ({"budgets": None}, "MRB requires budgets"),
+    ])
+    def test_construction_rejects(self, fields, message):
+        with pytest.raises(ValueError, match=message):
+            BacktestConfig(**{"strategy": "MRB", "budgets": [0.5, 0.5], **fields})
+
+    def test_numbers_of_any_real_type_accepted(self):
+        cfg = BacktestConfig(strategy="MRBAL", budgets=[0.5, 0.5], lam=0, mu=np.float64(0.001),
+                             leverage_cap=1, psd_eps=0)
+        assert cfg.psd_eps == 0 and cfg.budgets.dtype == float
+
+
 class TestBudgetRules:
     def test_half_norm_example(self):
         assert np.allclose(budget_rule_half_norm([0.3, 0.1]), [0.375, 0.125], atol=1e-15)

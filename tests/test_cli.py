@@ -5,7 +5,10 @@ from datetime import date, timedelta
 import numpy as np
 import pytest
 
+from riskbudget import cli
+from riskbudget.backtest import DEFAULT_SOLVER_OPTIONS, BacktestConfig, run
 from riskbudget.cli import main
+from riskbudget.solver import SolverOptions
 
 
 def write_problem(tmp_path, doc, name="problem.json"):
@@ -78,6 +81,43 @@ class TestSolveCommand:
         rc = main(["solve", "--config", str(tmp_path / "missing.json")])
         assert rc == 1
 
+    @pytest.mark.parametrize("flags, option", [
+        (["--tol", "-1"], "tol"), (["--tol", "0"], "tol"), (["--tol", "nan"], "tol"),
+        (["--tol", "inf"], "tol"), (["--max-iters", "-1"], "max_iters"),
+    ])
+    def test_out_of_range_solver_flag_exits_1(self, tmp_path, capsys, flags, option):
+        doc = {"cov": [[1.0, 0.0], [0.0, 1.0]], "budgets": [0.5, 0.5]}
+        rc = main(["solve", "--config", write_problem(tmp_path, doc), *flags])
+        assert rc == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.startswith(f"error: {option} must be")
+
+    def test_solver_flags_reach_the_solver(self, tmp_path, capsys, monkeypatch):
+        seen = []
+        real = cli.solve_allocation
+
+        def recording(problem, opts=None):
+            seen.append(opts)
+            return real(problem, opts)
+
+        monkeypatch.setattr(cli, "solve_allocation", recording)
+        doc = {"cov": [[0.04, 0.001], [0.001, 0.0025]], "budgets": [0.4, 0.1]}
+        rc = main(["solve", "--config", write_problem(tmp_path, doc),
+                   "--tol", "1e-7", "--max-iters", "3"])
+        assert seen == [SolverOptions(tol=1e-7, max_iters=3)]
+        # three iterations do not reach 1e-7, and the solve says so
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "status max_iters" in err and "after 3 iterations" in err
+
+    def test_nan_lambda_exits_1_naming_the_field(self, tmp_path, capsys):
+        path = tmp_path / "problem.json"
+        path.write_text('{"cov": [[1.0, 0.0], [0.0, 1.0]], "budgets": [0.5, 0.5], "lambda": NaN}')
+        rc = main(["solve", "--config", str(path)])
+        assert rc == 1
+        assert "lambda must be a finite number" in capsys.readouterr().err
+
 
 class TestBacktestCommand:
     def test_writes_outputs(self, tmp_path, capsys):
@@ -140,6 +180,47 @@ class TestBacktestCommand:
                    "--out-dir", str(tmp_path / "out")])
         assert rc == 1
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("psd_eps", float("nan"), "psd_eps must be a finite number >= 0, got nan"),
+        ("leverage_cap", float("nan"), "leverage_cap must be a finite number >= 1, got nan"),
+        ("lambda", None, "lambda must be a finite number >= 0, got None"),
+        ("mu", "0.001", "mu must be a finite number >= 0, got '0.001'"),
+    ])
+    def test_bad_setting_exits_1_before_any_week(self, tmp_path, capsys, monkeypatch, key, value,
+                                                 message):
+        def no_run(panel, cfg):
+            raise AssertionError("a week ran")
+
+        monkeypatch.setattr(cli, "run", no_run)
+        prices = write_prices_csv(tmp_path)
+        out_dir = tmp_path / "out"
+        rc = main(["backtest", "--prices", prices, "--config", write_config(tmp_path, **{key: value}),
+                   "--out-dir", str(out_dir)])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("flags, options", [
+        ([], DEFAULT_SOLVER_OPTIONS),
+        (["--max-iters", "100"], SolverOptions(tol=1e-7, max_iters=100)),
+        (["--tol", "1e-6"], SolverOptions(tol=1e-6, max_iters=200)),
+    ])
+    def test_absent_settings_take_config_defaults(self, tmp_path, monkeypatch, flags, options):
+        # the engine's 1e-7 tolerance stays unless --tol replaces it
+        configs = []
+        monkeypatch.setattr(cli, "run", lambda panel, cfg: configs.append(cfg) or run(panel, cfg))
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"strategies": ["MRBAL"], "budgets": [0.4, 0.1]}))
+        rc = main(["backtest", "--prices", write_prices_csv(tmp_path), "--config", str(path),
+                   "--out-dir", str(tmp_path / "out"), *flags])
+        assert rc == 0
+        [cfg] = configs
+        default = BacktestConfig(strategy="MRBAL", budgets=[0.4, 0.1])
+        assert np.array_equal(cfg.budgets, default.budgets)
+        for name in ("lam", "mu", "leverage_cap", "psd_eps"):
+            assert getattr(cfg, name) == getattr(default, name), name
+        assert cfg.solver_options == options
 
     def test_bad_strategy_name_exits_1(self, tmp_path, capsys):
         prices = write_prices_csv(tmp_path)

@@ -1,5 +1,7 @@
+import dataclasses
 import itertools
 import os
+import re
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from riskbudget.cones import NonNeg, SecondOrder, Zero
 from riskbudget.solver import (
     ConeProgram,
     ProgramValidationError,
+    RowMatrix,
     SolverOptions,
     SolveStatus,
     dump_program,
@@ -386,6 +389,61 @@ class TestValidate:
         p = ConeProgram(c=np.ones(2), A=np.ones((3, 2)), b=np.ones(3),
                         cones=(NonNeg(2),))
         assert any("sum to 2" in d for d in validate(p))
+
+    @pytest.mark.parametrize("program, defect", [
+        (ConeProgram(c=np.ones(2), A=np.ones((2, 2)), b=np.ones(3), cones=(NonNeg(3),)),
+         "dimension mismatch: A has 2 rows but b has 3 entries"),
+        (ConeProgram(c=np.ones(2), A=np.ones((1, 2)), b=np.ones(1), cones=("nonneg",)),
+         "cone block 0 has unknown type str"),
+        (ConeProgram(c=np.ones(2), A=np.ones((1, 2)), b=np.ones(1), cones=(NonNeg(1), Zero(0))),
+         "cone block 1 (Zero) has dim 0 < 1"),
+        (ConeProgram(c=[1.0, np.nan], A=np.ones((1, 2)), b=np.ones(1), cones=(NonNeg(1),)),
+         "c contains non-finite entries"),
+        (ConeProgram(c=np.ones(2), A=np.ones((1, 2)), b=[np.inf], cones=(NonNeg(1),)),
+         "b contains non-finite entries"),
+    ], ids=["rows", "unknown cone", "empty block", "c", "b"])
+    def test_each_defect_is_reported(self, program, defect):
+        assert defect in validate(program)
+        with pytest.raises(ProgramValidationError, match=re.escape(defect)):
+            solve(program)
+
+
+class TestRowMatrix:
+    def test_idx_and_scale_must_match(self):
+        with pytest.raises(ValueError, match="equal length"):
+            RowMatrix(np.eye(2), [0, 1], [1.0])
+        with pytest.raises(ValueError, match="equal length"):
+            RowMatrix(np.eye(2), [[0, 1]], [[1.0, 1.0]])
+
+    @pytest.mark.parametrize("idx", [[0, 2], [-1, 0]])
+    def test_row_index_out_of_range(self, idx):
+        with pytest.raises(ValueError, match="out of range for K with 2 rows"):
+            RowMatrix(np.eye(2), idx, [1.0, 1.0])
+
+
+class TestSolverOptions:
+    def test_frozen_with_one_tolerance(self):
+        opts = SolverOptions()
+        assert [f.name for f in dataclasses.fields(opts)] == ["tol", "max_iters"]
+        assert (opts.tol, opts.max_iters) == (1e-8, 200)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            opts.tol = 1e-6
+
+    @pytest.mark.parametrize("tol", [-1.0, 0.0, np.nan, np.inf, "1e-8", None, True])
+    def test_rejects_tol(self, tol):
+        with pytest.raises(ValueError, match="tol must be a finite number > 0"):
+            SolverOptions(tol=tol)
+
+    @pytest.mark.parametrize("max_iters", [-1, 2.5, "3", None, True])
+    def test_rejects_max_iters(self, max_iters):
+        with pytest.raises(ValueError, match="max_iters must be an integer >= 0"):
+            SolverOptions(max_iters=max_iters)
+
+    def test_accepts_numpy_scalars(self):
+        opts = SolverOptions(tol=np.float64(1e-7), max_iters=np.int64(0))
+        sol = solve(Builder(2).eq([np.ones(2)], 1.0).leq(-np.eye(2), np.zeros(2)).program([1.0, 1.0]),
+                    opts)
+        assert sol.status is SolveStatus.MaxIters and sol.iterations == 0
 
 
 def test_sparse_matrix_accepted():
