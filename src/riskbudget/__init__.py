@@ -76,7 +76,6 @@ from .solver import (
     SolverOptions,
     dump_program,
     solve,
-    validate,
 )
 
 __version__ = "0.1.0"

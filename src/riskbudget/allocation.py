@@ -89,13 +89,13 @@ class AllocationProblem:
     assets: tuple[str, ...] | None = None
 
     def __post_init__(self):
-        cov = np.asarray(self.cov, dtype=float)
+        cov = float_array("cov", self.cov)
         object.__setattr__(self, "cov", cov)
-        object.__setattr__(self, "budgets", np.asarray(self.budgets, dtype=float).ravel())
+        object.__setattr__(self, "budgets", float_array("budgets", self.budgets).ravel())
         n = self.size
 
         def vec(name, value, default):
-            out = np.full(n, default) if value is None else np.asarray(value, dtype=float).ravel()
+            out = np.full(n, default) if value is None else float_array(name, value).ravel()
             object.__setattr__(self, name, out)
 
         vec("forecasts", self.forecasts, 0.0)
@@ -134,6 +134,14 @@ class AllocationProblem:
 
     def asset_name(self, i: int) -> str:
         return self.assets[i] if self.assets else f"asset {i}"
+
+
+def float_array(name: str, value) -> np.ndarray:
+    """``value`` as a float array; raise ``ValueError`` naming ``name`` if it does not convert."""
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        raise ValueError(f"{name}: entries must be numbers") from None
 
 
 def require_number(name: str, value, low: float) -> None:
@@ -310,6 +318,11 @@ def expected_stats(problem: AllocationProblem, weights) -> tuple[float, float]:
 #   "upper": [...],               optional, default 1
 #   "assets": ["SPY", ...]        optional labels
 # }
+# Any other key is rejected. The keys and the AllocationProblem fields they set:
+PROBLEM_FIELDS = {"cov": "cov", "budgets": "budgets", "forecasts": "forecasts", "lambda": "lam",
+                  "mu": "mu", "prev_weights": "prev_weights", "lower": "lower", "upper": "upper",
+                  "assets": "assets"}
+
 
 def problem_to_json(problem: AllocationProblem) -> str:
     doc = {
@@ -332,10 +345,18 @@ def _field_error(path, message):
 
 
 def problem_from_json(source: str | dict) -> AllocationProblem:
-    """Parse the documented JSON schema; errors name the offending field."""
+    """Parse the documented JSON schema; errors name the offending key.
+
+    Only what JSON alone can break is checked here: the document's shape,
+    its keys, the rows of ``cov``, lists for the vectors and strings for
+    ``assets``. :class:`AllocationProblem` converts and checks the values.
+    """
     doc = json.loads(source) if isinstance(source, str) else source
     if not isinstance(doc, dict):
-        raise _field_error("$", "expected a JSON object")
+        raise _field_error("problem", "expected a JSON object")
+    for key in doc:
+        if key not in PROBLEM_FIELDS:
+            raise _field_error(key, "unknown key")
     for required in ("cov", "budgets"):
         if required not in doc:
             raise _field_error(required, "missing required field")
@@ -347,34 +368,12 @@ def problem_from_json(source: str | dict) -> AllocationProblem:
     for i, row in enumerate(cov):
         if len(row) != n:
             raise _field_error(f"cov[{i}]", f"has {len(row)} entries, expected {n}")
-
-    def vector(name):
-        v = doc[name]
-        if not isinstance(v, list):
+    for name in ("budgets", "forecasts", "prev_weights", "lower", "upper"):
+        if name in doc and not isinstance(doc[name], list):
             raise _field_error(name, "expected a list")
-        if len(v) != n:
-            raise _field_error(name, f"has {len(v)} entries, expected {n}")
-        try:
-            return np.asarray(v, dtype=float)
-        except (TypeError, ValueError):
-            raise _field_error(name, "entries must be numbers") from None
-
-    def scalar(name):
-        v = doc[name]
-        if not isinstance(v, (int, float)) or isinstance(v, bool):
-            raise _field_error(name, "expected a number")
-        return float(v)
-
     assets = doc.get("assets")
     if assets is not None:
         if not isinstance(assets, list) or len(assets) != n or not all(isinstance(a, str) for a in assets):
             raise _field_error("assets", f"expected a list of {n} strings")
-    # absent fields take the defaults of AllocationProblem
-    kwargs = {name: vector(name) for name in ("budgets", "forecasts", "prev_weights", "lower", "upper")
-              if name in doc}
-    kwargs.update((attr, scalar(key)) for key, attr in (("lambda", "lam"), ("mu", "mu")) if key in doc)
-    try:
-        return AllocationProblem(cov=np.asarray(cov, dtype=float),
-                                 assets=tuple(assets) if assets else None, **kwargs)
-    except (TypeError, ValueError) as exc:
-        raise _field_error("$", str(exc)) from None
+    # absent keys take the defaults of AllocationProblem
+    return AllocationProblem(**{field: doc[key] for key, field in PROBLEM_FIELDS.items() if key in doc})

@@ -24,7 +24,8 @@ from datetime import date
 
 import numpy as np
 
-from .allocation import AllocationError, AllocationProblem, expected_stats, require_number, solve_allocation
+from .allocation import (AllocationError, AllocationProblem, expected_stats, float_array,
+                         require_number, solve_allocation)
 from .data import WeeklyPanel, _opened, returns as panel_returns
 from .linalg import NotPositiveDefinite, covariance, psd_from_eig, symmetric_eig
 from .solver import SolverOptions
@@ -83,7 +84,7 @@ class BacktestConfig:
     mu: float = 0.0
     leverage_cap: float = 1.5
     psd_eps: float | None = None
-    solver_options: SolverOptions | None = None
+    solver_options: SolverOptions = DEFAULT_SOLVER_OPTIONS
 
     def __post_init__(self):
         self.strategy = normalize_strategy(self.strategy)
@@ -96,7 +97,7 @@ class BacktestConfig:
             if self.budgets != HALF_NORM_CUM_RETURN:
                 raise ValueError(f"unknown budget rule {self.budgets!r}")
         elif self.budgets is not None:
-            self.budgets = b = np.asarray(self.budgets, dtype=float).ravel()
+            self.budgets = b = float_array("budgets", self.budgets).ravel()
             if not np.isfinite(b).all() or np.any(b < 0) or b.sum() > 1.0 + 1e-12:
                 raise ValueError("budgets must be finite, nonnegative and sum to at most 1")
         if self.strategy not in ("CRB", "CRB_SMART") and self.budgets is None:
@@ -108,8 +109,6 @@ class BacktestConfig:
 class EngineState:
     """Decision inputs for one rebalance, all measured strictly pre-fill."""
 
-    t: int
-    decision_date: date
     cov: np.ndarray
     forecast: np.ndarray
     cum_returns: np.ndarray
@@ -205,8 +204,7 @@ def strategy_weights(t: int, state: EngineState, cfg: BacktestConfig) -> tuple[n
         prev_weights=state.prev_weights,
         assets=state.tickers,
     )
-    opts = cfg.solver_options if cfg.solver_options is not None else DEFAULT_SOLVER_OPTIONS
-    x = solve_allocation(problem, opts).weights
+    x = solve_allocation(problem, cfg.solver_options).weights
     if cfg.strategy == "MRB":
         return x, 1.0
 
@@ -247,8 +245,6 @@ def run(panel: WeeklyPanel, cfg: BacktestConfig) -> BacktestLedger:
 
         history = rets[: t - 1]
         state = EngineState(
-            t=t,
-            decision_date=panel.dates[t - 1],
             cov=prepare_covariance(history, cfg.psd_eps),
             forecast=rets[t - 2],
             cum_returns=panel.prices[t - 1] / panel.prices[0] - 1.0,

@@ -7,22 +7,28 @@ Subcommands:
     :mod:`riskbudget.allocation`); prints the result as JSON followed by a
     readable table. Exit code 0 on an optimal solution, 2 when the
     problem is infeasible, 1 on any other error, such as a ``--tol`` not
-    finite and > 0, a negative ``--max-iters`` or a bad document field.
+    finite and > 0, a negative ``--max-iters``, a bad document field or an
+    unknown key.
 
 ``riskbudget backtest --prices prices.csv --config config.json --out-dir DIR
 [--strategies CRB,MRB,...] [--tol T] [--max-iters K]``
     Run the configured strategies over a daily prices CSV and write one
     ledger CSV per strategy, summary/drawdown tables (CSV and aligned
     text), and a reproducibility manifest with input hashes. A config key
-    left out takes the :class:`BacktestConfig` default; a bad one exits 1.
+    left out takes the :class:`BacktestConfig` default; a bad or unknown
+    one exits 1 before any week runs or the output directory is made.
 
 ``riskbudget report LEDGER.csv [LEDGER.csv ...] [--top K] [--out-dir DIR]``
     Print the top-k drawdown table (one column per strategy) and summary
     statistics for previously written ledgers.
 
-The only environment variable honored is ``RISKBUDGET_LOG_LEVEL``. Output
-files are written atomically (temp file + rename). Identical inputs give
-byte-identical outputs; the manifest's timestamp is the one exception.
+Errors have one path: they leave the command and :func:`main` prints one
+``error: <message>`` line to stderr and exits 1. The one exception a
+command catches is ``solve``'s infeasible problem, reported as JSON with
+exit 2. The only environment variable honored is ``RISKBUDGET_LOG_LEVEL``.
+Output files are written atomically (temp file + rename). Identical
+inputs give byte-identical outputs; the manifest's timestamp is the one
+exception.
 """
 
 from __future__ import annotations
@@ -41,12 +47,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import __version__
-from .allocation import (
-    AllocationError,
-    InfeasibleAllocation,
-    problem_from_json,
-    solve_allocation,
-)
+from .allocation import InfeasibleAllocation, problem_from_json, solve_allocation
 from .analytics import (
     align_rows,
     drawdowns,
@@ -64,7 +65,7 @@ from .backtest import (
     ledger_to_csv,
     run,
 )
-from .data import EmptyIntersection, ParseError, load_csv, to_weekly
+from .data import load_csv, to_weekly
 from .solver import SolverOptions
 
 log = logging.getLogger("riskbudget.cli")
@@ -128,22 +129,14 @@ def _write_tables(ledgers, top: int, out_dir: str | None, text_files: bool) -> s
 
 
 def cmd_solve(args) -> int:
-    try:
-        opts = _solver_options(args, SolverOptions())
-        with open(args.config) as fh:
-            problem = problem_from_json(fh.read())
-    except (OSError, json.JSONDecodeError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-
+    opts = _solver_options(args, SolverOptions())
+    with open(args.config) as fh:
+        problem = problem_from_json(fh.read())
     try:
         result = solve_allocation(problem, opts)
     except InfeasibleAllocation as exc:
         print(json.dumps({"status": "infeasible", "report": exc.report}, indent=2))
         return EXIT_INFEASIBLE
-    except AllocationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
 
     names = problem.assets or tuple(f"asset{i}" for i in range(problem.size))
     stats = result.solver_stats
@@ -180,32 +173,24 @@ def _parse_backtest_config(path: str):
         doc = json.load(fh)
     if not isinstance(doc, dict):
         raise ValueError("config: expected a JSON object")
+    for key in doc:
+        if key != "strategies" and key not in CONFIG_FIELDS:
+            raise ValueError(f"config.{key}: unknown key")
     return doc, {field: doc[key] for key, field in CONFIG_FIELDS.items() if key in doc}
 
 
 def cmd_backtest(args) -> int:
-    try:
-        panel = to_weekly(load_csv(args.prices))
-        config_doc, cfg_kwargs = _parse_backtest_config(args.config)
-        names = args.strategies.split(",") if args.strategies else config_doc.get("strategies", STRATEGIES)
-        if not isinstance(names, (list, tuple)) or not names:
-            raise ValueError("config.strategies: expected a non-empty list")
-        solver_opts = _solver_options(args, DEFAULT_SOLVER_OPTIONS)
-        # every config is built before any week runs, so a bad setting fails fast
-        configs = [BacktestConfig(strategy=s, solver_options=solver_opts, **cfg_kwargs) for s in names]
-    except (OSError, json.JSONDecodeError, ValueError, ParseError, EmptyIntersection) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+    panel = to_weekly(load_csv(args.prices))
+    config_doc, cfg_kwargs = _parse_backtest_config(args.config)
+    names = args.strategies.split(",") if args.strategies else config_doc.get("strategies", STRATEGIES)
+    if not isinstance(names, (list, tuple)) or not names:
+        raise ValueError("config.strategies: expected a non-empty list")
+    solver_opts = _solver_options(args, DEFAULT_SOLVER_OPTIONS)
+    # every config is built before any week runs, so a bad setting fails fast
+    configs = [BacktestConfig(strategy=s, solver_options=solver_opts, **cfg_kwargs) for s in names]
+    ledgers = {cfg.strategy: run(panel, cfg) for cfg in configs}
 
     os.makedirs(args.out_dir, exist_ok=True)
-    ledgers = {}
-    try:
-        for cfg in configs:
-            ledgers[cfg.strategy] = run(panel, cfg)
-    except (ValueError, AllocationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-
     for strat, ledger in ledgers.items():
         buf = io.StringIO()
         ledger_to_csv(ledger, buf)
@@ -230,16 +215,9 @@ def cmd_backtest(args) -> int:
 
 def cmd_report(args) -> int:
     ledgers = {}
-    try:
-        for path in args.ledgers:
-            name = os.path.splitext(os.path.basename(path))[0]
-            if name.startswith("ledger_"):
-                name = name[len("ledger_"):]
-            ledgers[name] = ledger_from_csv(path, strategy=name)
-    except (OSError, ValueError, ParseError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-
+    for path in args.ledgers:
+        name = os.path.splitext(os.path.basename(path))[0].removeprefix("ledger_")
+        ledgers[name] = ledger_from_csv(path, strategy=name)
     print(_write_tables(ledgers, args.top, args.out_dir, text_files=False))
     return EXIT_OK
 
@@ -281,7 +259,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except Exception as exc:  # defensive: never tracebacks for users
+    except Exception as exc:  # the one error path: never a traceback for users
         log.debug("unhandled failure", exc_info=True)
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR

@@ -45,6 +45,9 @@ ConeBlock = Zero | NonNeg | SecondOrder
 class ConeStructure:
     """Index bookkeeping for a cone list, built in one pass over its blocks.
 
+    The blocks are those of a ``ConeProgram``, which checked their types
+    and dims when it was built.
+
     ``zero_rows`` and ``cone_rows`` are the positions of the Zero rows and
     of all other rows in the program's row order. Every other position is
     relative to the stacked *cone rows only* (Zero rows removed, original
@@ -59,8 +62,6 @@ class ConeStructure:
         zero_rows, cone_rows, nn_idx, soc_slices = [], [], [], []
         row = pos = 0
         for blk in blocks:
-            if not isinstance(blk, (Zero, NonNeg, SecondOrder)):
-                raise TypeError(f"unknown cone block {blk!r}")
             rows = range(row, row + blk.dim)
             row += blk.dim
             if isinstance(blk, Zero):

@@ -29,6 +29,7 @@ import math
 import numbers
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg as sla
@@ -43,7 +44,6 @@ __all__ = [
     "SolverOptions",
     "SolveStatus",
     "ProgramValidationError",
-    "validate",
     "solve",
     "dump_program",
 ]
@@ -151,7 +151,9 @@ class ConeProgram:
 
     ``A`` may be a :class:`RowMatrix`, or dense or scipy-sparse, which is
     stored as the dense case of one. ``cones`` lists the row blocks in
-    order; their dims must sum to ``len(b)``.
+    order; their dims must sum to ``len(b)``. Construction raises
+    :class:`ProgramValidationError` listing every structural defect, so a
+    program that exists is well-formed.
     """
 
     c: np.ndarray
@@ -165,6 +167,35 @@ class ConeProgram:
         object.__setattr__(self, "c", np.asarray(self.c, dtype=float).ravel())
         object.__setattr__(self, "b", np.asarray(self.b, dtype=float).ravel())
         object.__setattr__(self, "cones", tuple(self.cones))
+        defects = []
+        m, n = self.A.shape
+        if n != self.c.size:
+            defects.append(f"dimension mismatch: A has {n} columns but c has {self.c.size} entries")
+        if m != self.b.size:
+            defects.append(f"dimension mismatch: A has {m} rows but b has {self.b.size} entries")
+        total = 0
+        for i, blk in enumerate(self.cones):
+            if not isinstance(blk, (Zero, NonNeg, SecondOrder)):
+                defects.append(f"cone block {i} has unknown type {type(blk).__name__}")
+                continue
+            if blk.dim < 1:
+                defects.append(f"cone block {i} ({type(blk).__name__}) has dim {blk.dim} < 1")
+            if isinstance(blk, SecondOrder) and blk.dim < 2:
+                defects.append(f"cone block {i}: SecondOrder dim {blk.dim} < 2")
+            total += blk.dim
+        if total != self.b.size:
+            defects.append(f"cone dims sum to {total} but A has {self.b.size} rows")
+        for name, arrs in (("c", [self.c]), ("A", [self.A.K, self.A.scale]), ("b", [self.b])):
+            if not all(np.isfinite(arr).all() for arr in arrs):
+                defects.append(f"{name} contains non-finite entries")
+        if defects:
+            raise ProgramValidationError(defects)
+
+    @cached_property
+    def structure(self) -> ConeStructure:
+        """Row bookkeeping of the cone list, built on first use, since it
+        holds several arrays as long as ``b``."""
+        return ConeStructure(self.cones)
 
 
 @dataclass(frozen=True)
@@ -206,32 +237,6 @@ class ConeSolution:
     primal_residual: float
     dual_residual: float
     gap: float
-
-
-def validate(p: ConeProgram) -> list[str]:
-    """Structural defects of ``p``; empty when well-formed."""
-    defects = []
-    m, n = p.A.shape
-    if n != p.c.size:
-        defects.append(f"dimension mismatch: A has {n} columns but c has {p.c.size} entries")
-    if m != p.b.size:
-        defects.append(f"dimension mismatch: A has {m} rows but b has {p.b.size} entries")
-    total = 0
-    for i, blk in enumerate(p.cones):
-        if not isinstance(blk, (Zero, NonNeg, SecondOrder)):
-            defects.append(f"cone block {i} has unknown type {type(blk).__name__}")
-            continue
-        if blk.dim < 1:
-            defects.append(f"cone block {i} ({type(blk).__name__}) has dim {blk.dim} < 1")
-        if isinstance(blk, SecondOrder) and blk.dim < 2:
-            defects.append(f"cone block {i}: SecondOrder dim {blk.dim} < 2")
-        total += blk.dim
-    if total != p.b.size:
-        defects.append(f"cone dims sum to {total} but A has {p.b.size} rows")
-    for name, arrs in (("c", [p.c]), ("A", [p.A.K, p.A.scale]), ("b", [p.b])):
-        if not all(np.isfinite(arr).all() for arr in arrs):
-            defects.append(f"{name} contains non-finite entries")
-    return defects
 
 
 class _KKT:
@@ -292,15 +297,11 @@ class _KKT:
 def solve(p: ConeProgram, opts: SolverOptions | None = None) -> ConeSolution:
     """Solve a cone program; never raises for solvable-but-degenerate data.
 
-    Malformed programs raise :class:`ProgramValidationError` before any
-    iteration. All other outcomes are reported through the status field.
+    Every outcome is reported through the status field; a malformed
+    program cannot be built, so it never reaches the solver.
     """
     opts = opts or SolverOptions()
-    defects = validate(p)
-    if defects:
-        raise ProgramValidationError(defects)
-
-    struct = ConeStructure(p.cones)
+    struct = p.structure
     zero_rows, cone_rows = struct.zero_rows, struct.cone_rows
     n = p.c.size
     aeq, beq = p.A.take(zero_rows).toarray(), p.b[zero_rows]

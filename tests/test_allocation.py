@@ -14,7 +14,7 @@ from riskbudget.allocation import (
 )
 from riskbudget.budgeting import solve_vanilla
 from riskbudget.cones import NonNeg, SecondOrder
-from riskbudget.solver import SolveStatus, validate
+from riskbudget.solver import SolveStatus
 
 
 def random_pd(n, rng, scale=0.03):
@@ -68,7 +68,6 @@ class TestBuildProgram:
         socs = [b for b in prog.cones if isinstance(b, SecondOrder)]
         assert [b.dim for b in socs] == [3, 4, 4]
         assert sum(b.dim for b in prog.cones) == prog.b.size
-        assert validate(prog) == []
         # no turnover columns when mu = 0: variables are (x1, x2, t)
         assert prog.A.shape[1] == 3
 
@@ -260,12 +259,14 @@ class TestJson:
     @pytest.mark.parametrize("field, value, message", [
         ("lambda", float("nan"), "lambda must be a finite number >= 0, got nan"),
         ("mu", float("inf"), "mu must be a finite number >= 0, got inf"),
-        ("lambda", None, "lambda: expected a number"),
-        ("mu", True, "mu: expected a number"),
+        ("lambda", None, "lambda must be a finite number"),
+        ("mu", True, "mu must be a finite number"),
         ("forecasts", [0.0, "x"], "forecasts: entries must be numbers"),
         ("upper", 1.0, "upper: expected a list"),
         ("assets", ["A"], "assets: expected a list of 2 strings"),
         ("budgets", [0.8, 0.8], "budgets sum to 1.6 > 1"),
+        ("lamda", 5.0, "^lamda: unknown key$"),
+        ("cov", [[1.0, "x"], ["x", 1.0]], "^cov: entries must be numbers$"),
     ])
     def test_bad_field_named(self, field, value, message):
         doc = {"cov": [[1.0, 0.0], [0.0, 1.0]], "budgets": [0.5, 0.5], field: value}

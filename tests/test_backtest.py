@@ -1,5 +1,4 @@
 import io
-from datetime import date
 
 import numpy as np
 import pytest
@@ -145,7 +144,7 @@ class TestBudgetRules:
 
 
 def state_with(cov, forecast=None, cum=None, n=2):
-    return EngineState(t=3, decision_date=date(2022, 1, 21), cov=np.asarray(cov, dtype=float),
+    return EngineState(cov=np.asarray(cov, dtype=float),
                        forecast=np.zeros(n) if forecast is None else np.asarray(forecast, dtype=float),
                        cum_returns=np.zeros(n) if cum is None else np.asarray(cum, dtype=float),
                        prev_weights=np.zeros(n), tickers=tuple(f"A{i}" for i in range(n)))

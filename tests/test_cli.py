@@ -186,6 +186,8 @@ class TestBacktestCommand:
         ("leverage_cap", float("nan"), "leverage_cap must be a finite number >= 1, got nan"),
         ("lambda", None, "lambda must be a finite number >= 0, got None"),
         ("mu", "0.001", "mu must be a finite number >= 0, got '0.001'"),
+        ("lamda", 5.0, "config.lamda: unknown key"),
+        ("budgets", {"A": 0.5}, "budgets: entries must be numbers"),
     ])
     def test_bad_setting_exits_1_before_any_week(self, tmp_path, capsys, monkeypatch, key, value,
                                                  message):
@@ -228,6 +230,47 @@ class TestBacktestCommand:
         rc = main(["backtest", "--prices", prices, "--config", config,
                    "--out-dir", str(tmp_path / "out")])
         assert rc == 1
+
+
+def _write(path, text):
+    path.write_text(text)
+    return str(path)
+
+
+# each command line fails; the backtest ones before any week runs
+FAILURES = {
+    "missing prices": lambda tmp: ["backtest", "--prices", str(tmp / "missing.csv"),
+                                   "--config", write_config(tmp)],
+    "malformed config": lambda tmp: ["backtest", "--prices", write_prices_csv(tmp),
+                                     "--config", _write(tmp / "config.json", '{"budgets": ')],
+    "empty prices": lambda tmp: ["backtest", "--prices", _write(tmp / "prices.csv", ""),
+                                 "--config", write_config(tmp)],
+    "no shared week": lambda tmp: ["backtest", "--config", write_config(tmp), "--prices",
+                                   _write(tmp / "prices.csv", "date,ticker,close\n"
+                                          "2021-01-04,SPY,100\n2021-01-11,AGG,50\n")],
+    "bad ledger header": lambda tmp: ["report", _write(tmp / "ledger_X.csv", "not,a,ledger\n1,2,3\n")],
+    "tol 0": lambda tmp: ["solve", "--config", write_problem(tmp, {"cov": [[1.0]], "budgets": [1.0]}),
+                          "--tol", "0"],
+    "string lambda": lambda tmp: ["solve", "--config", write_problem(
+        tmp, {"cov": [[1.0]], "budgets": [1.0], "lambda": "1"})],
+    "misspelled key": lambda tmp: ["solve", "--config", write_problem(
+        tmp, {"cov": [[1.0]], "budgets": [1.0], "lamda": 5.0})],
+}
+
+
+@pytest.mark.parametrize("failure", list(FAILURES))
+def test_every_error_is_one_line_from_main(tmp_path, capsys, failure):
+    argv = FAILURES[failure](tmp_path)
+    out_dir = tmp_path / "out"
+    if argv[0] == "backtest":
+        argv += ["--out-dir", str(out_dir)]
+    rc = main(argv)
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    [line] = captured.err.splitlines()
+    assert line.startswith("error: ") and "Traceback" not in line
+    assert not out_dir.exists()
 
 
 class TestGoldenLedgers:

@@ -18,7 +18,6 @@ from riskbudget.solver import (
     SolveStatus,
     dump_program,
     solve,
-    validate,
 )
 
 
@@ -356,56 +355,57 @@ def test_polish_stops_at_the_roundoff_floor():
 
 
 class TestValidate:
+    """A ConeProgram checks itself when built; a malformed one never exists."""
+
     def test_well_formed(self):
         b = Builder(2).eq([np.ones(2)], 1.0).leq(-np.eye(2), np.zeros(2))
-        assert validate(b.program([1.0, 1.0])) == []
+        prog = b.program([1.0, 1.0])
+        assert list(prog.structure.zero_rows) == [0]
+        assert list(prog.structure.cone_rows) == [1, 2]
 
     def test_soc_dim_below_two(self):
-        p = ConeProgram(c=np.ones(1), A=np.ones((1, 1)), b=np.ones(1),
-                        cones=(SecondOrder(1),))
-        defects = validate(p)
-        assert any("SecondOrder dim 1 < 2" in d for d in defects)
+        with pytest.raises(ProgramValidationError) as err:
+            ConeProgram(c=np.ones(1), A=np.ones((1, 1)), b=np.ones(1), cones=(SecondOrder(1),))
+        assert any("SecondOrder dim 1 < 2" in d for d in err.value.defects)
 
     def test_dimension_mismatch(self):
-        p = ConeProgram(c=np.ones(3), A=np.ones((2, 2)), b=np.ones(2),
-                        cones=(NonNeg(2),))
-        defects = validate(p)
-        assert any("columns" in d for d in defects)
+        with pytest.raises(ProgramValidationError) as err:
+            ConeProgram(c=np.ones(3), A=np.ones((2, 2)), b=np.ones(2), cones=(NonNeg(2),))
+        assert any("columns" in d for d in err.value.defects)
 
     def test_solve_rejects_malformed(self):
-        p = ConeProgram(c=np.ones(3), A=np.ones((2, 2)), b=np.ones(2),
-                        cones=(NonNeg(2),))
+        # the solver takes only built programs, and a malformed one cannot be built
         with pytest.raises(ProgramValidationError):
-            solve(p)
+            solve(ConeProgram(c=np.ones(3), A=np.ones((2, 2)), b=np.ones(2), cones=(NonNeg(2),)))
 
     def test_non_matrix_and_non_finite_a(self):
         with pytest.raises(ValueError, match="A must be a matrix"):
             ConeProgram(c=np.ones(2), A=np.ones(2), b=np.ones(1), cones=(NonNeg(1),))
-        p = ConeProgram(c=np.ones(2), A=np.array([[1.0, np.inf]]), b=np.ones(1),
-                        cones=(NonNeg(1),))
-        assert validate(p) == ["A contains non-finite entries"]
+        with pytest.raises(ProgramValidationError) as err:
+            ConeProgram(c=np.ones(2), A=np.array([[1.0, np.inf]]), b=np.ones(1), cones=(NonNeg(1),))
+        assert err.value.defects == ["A contains non-finite entries"]
 
     def test_cone_sum_mismatch(self):
-        p = ConeProgram(c=np.ones(2), A=np.ones((3, 2)), b=np.ones(3),
-                        cones=(NonNeg(2),))
-        assert any("sum to 2" in d for d in validate(p))
+        with pytest.raises(ProgramValidationError) as err:
+            ConeProgram(c=np.ones(2), A=np.ones((3, 2)), b=np.ones(3), cones=(NonNeg(2),))
+        assert any("sum to 2" in d for d in err.value.defects)
 
-    @pytest.mark.parametrize("program, defect", [
-        (ConeProgram(c=np.ones(2), A=np.ones((2, 2)), b=np.ones(3), cones=(NonNeg(3),)),
+    @pytest.mark.parametrize("fields, defect", [
+        (dict(c=np.ones(2), A=np.ones((2, 2)), b=np.ones(3), cones=(NonNeg(3),)),
          "dimension mismatch: A has 2 rows but b has 3 entries"),
-        (ConeProgram(c=np.ones(2), A=np.ones((1, 2)), b=np.ones(1), cones=("nonneg",)),
+        (dict(c=np.ones(2), A=np.ones((1, 2)), b=np.ones(1), cones=("nonneg",)),
          "cone block 0 has unknown type str"),
-        (ConeProgram(c=np.ones(2), A=np.ones((1, 2)), b=np.ones(1), cones=(NonNeg(1), Zero(0))),
+        (dict(c=np.ones(2), A=np.ones((1, 2)), b=np.ones(1), cones=(NonNeg(1), Zero(0))),
          "cone block 1 (Zero) has dim 0 < 1"),
-        (ConeProgram(c=[1.0, np.nan], A=np.ones((1, 2)), b=np.ones(1), cones=(NonNeg(1),)),
+        (dict(c=[1.0, np.nan], A=np.ones((1, 2)), b=np.ones(1), cones=(NonNeg(1),)),
          "c contains non-finite entries"),
-        (ConeProgram(c=np.ones(2), A=np.ones((1, 2)), b=[np.inf], cones=(NonNeg(1),)),
+        (dict(c=np.ones(2), A=np.ones((1, 2)), b=[np.inf], cones=(NonNeg(1),)),
          "b contains non-finite entries"),
     ], ids=["rows", "unknown cone", "empty block", "c", "b"])
-    def test_each_defect_is_reported(self, program, defect):
-        assert defect in validate(program)
-        with pytest.raises(ProgramValidationError, match=re.escape(defect)):
-            solve(program)
+    def test_each_defect_is_reported(self, fields, defect):
+        with pytest.raises(ProgramValidationError, match=re.escape(defect)) as err:
+            ConeProgram(**fields)
+        assert defect in err.value.defects
 
 
 class TestRowMatrix:
