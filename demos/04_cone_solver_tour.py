@@ -4,6 +4,7 @@ The solver handles programs of the form: minimize c @ x subject to
 b - A @ x lying in a product of Zero, NonNeg and SecondOrder blocks.
 """
 
+import os
 import tempfile
 
 import numpy as np
@@ -41,6 +42,8 @@ unbounded = ConeProgram(c=np.array([-1.0]), A=np.array([[-1.0]]), b=np.array([0.
 print(f"  minimize -x with x >= 0: {solve(unbounded).status.value}\n")
 
 print("=== plain-text dump for cross-checking against other solvers ===")
-with tempfile.NamedTemporaryFile("r", suffix=".txt", delete=False) as fh:
-    dump_program(infeas, fh.name)
-    print("  " + "\n  ".join(open(fh.name).read().splitlines()))
+with tempfile.TemporaryDirectory() as tmp:
+    path = os.path.join(tmp, "infeasible.txt")
+    dump_program(infeas, path)
+    with open(path) as fh:
+        print("  " + "\n  ".join(fh.read().splitlines()))

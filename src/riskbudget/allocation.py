@@ -137,11 +137,12 @@ class AllocationProblem:
 
 
 def float_array(name: str, value) -> np.ndarray:
-    """``value`` as a float array; raise ``ValueError`` naming ``name`` if it does not convert."""
-    try:
-        return np.asarray(value, dtype=float)
-    except (TypeError, ValueError):
-        raise ValueError(f"{name}: entries must be numbers") from None
+    """``value`` as a float array; raise ``ValueError`` naming ``name`` unless each entry is a number."""
+    arr = value if isinstance(value, np.ndarray) else np.asarray(value, dtype=object)
+    types = set(map(type, arr.flat)) if arr.dtype == object else {arr.dtype.type}
+    if not all(issubclass(t, numbers.Real) and not issubclass(t, bool) for t in types):
+        raise ValueError(f"{name}: entries must be numbers")
+    return np.asarray(arr, dtype=float)
 
 
 def require_number(name: str, value, low: float) -> None:

@@ -36,6 +36,7 @@ __all__ = [
     "BacktestConfig",
     "BacktestLedger",
     "EngineState",
+    "check_panel",
     "run",
     "strategy_weights",
     "budget_rule_half_norm",
@@ -219,6 +220,16 @@ def strategy_weights(t: int, state: EngineState, cfg: BacktestConfig) -> tuple[n
     return lev * x, lev
 
 
+def check_panel(panel: WeeklyPanel, cfg: BacktestConfig) -> None:
+    """Raise ``ValueError`` unless ``cfg`` runs on ``panel``: a first decision, one budget per asset."""
+    if panel.n_periods < FIRST_DECISION + 1:
+        raise ValueError(f"panel must cover at least {FIRST_DECISION + 1} weekly prices "
+                         f"({FIRST_DECISION} return periods), got {panel.n_periods}")
+    if isinstance(cfg.budgets, np.ndarray) and cfg.budgets.size != panel.n_assets:
+        raise ValueError(f"budgets has {cfg.budgets.size} entries, but the panel has "
+                         f"{panel.n_assets} assets")
+
+
 def run(panel: WeeklyPanel, cfg: BacktestConfig) -> BacktestLedger:
     """Simulate one strategy over the panel; deterministic.
 
@@ -227,9 +238,7 @@ def run(panel: WeeklyPanel, cfg: BacktestConfig) -> BacktestLedger:
     for the covariance). Infeasible or failed optimizations abstain for
     that period and carry a diagnostic note.
     """
-    if panel.n_periods < FIRST_DECISION + 1:
-        raise ValueError(f"panel must cover at least {FIRST_DECISION + 1} weekly prices "
-                         f"({FIRST_DECISION} return periods), got {panel.n_periods}")
+    check_panel(panel, cfg)
     rets = panel_returns(panel)
     n = panel.n_assets
 

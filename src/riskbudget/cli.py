@@ -61,6 +61,7 @@ from .backtest import (
     DEFAULT_SOLVER_OPTIONS,
     STRATEGIES,
     BacktestConfig,
+    check_panel,
     ledger_from_csv,
     ledger_to_csv,
     run,
@@ -186,8 +187,10 @@ def cmd_backtest(args) -> int:
     if not isinstance(names, (list, tuple)) or not names:
         raise ValueError("config.strategies: expected a non-empty list")
     solver_opts = _solver_options(args, DEFAULT_SOLVER_OPTIONS)
-    # every config is built before any week runs, so a bad setting fails fast
+    # every config is built and checked against the panel before any week runs
     configs = [BacktestConfig(strategy=s, solver_options=solver_opts, **cfg_kwargs) for s in names]
+    for cfg in configs:
+        check_panel(panel, cfg)
     ledgers = {cfg.strategy: run(panel, cfg) for cfg in configs}
 
     os.makedirs(args.out_dir, exist_ok=True)

@@ -43,7 +43,7 @@ ConeBlock = Zero | NonNeg | SecondOrder
 
 
 class ConeStructure:
-    """Index bookkeeping for a cone list, built in one pass over its blocks.
+    """Index bookkeeping for a cone list, built with array operations.
 
     The blocks are those of a ``ConeProgram``, which checked their types
     and dims when it was built.
@@ -59,36 +59,30 @@ class ConeStructure:
     """
 
     def __init__(self, blocks):
-        zero_rows, cone_rows, nn_idx, soc_slices = [], [], [], []
-        row = pos = 0
-        for blk in blocks:
-            rows = range(row, row + blk.dim)
-            row += blk.dim
-            if isinstance(blk, Zero):
-                zero_rows.extend(rows)
-                continue
-            cone_rows.extend(rows)
-            if isinstance(blk, NonNeg):
-                nn_idx.extend(range(pos, pos + blk.dim))
-            else:
-                soc_slices.append((pos, pos + blk.dim))
-            pos += blk.dim
-        self.zero_rows = np.asarray(zero_rows, dtype=int)
-        self.cone_rows = np.asarray(cone_rows, dtype=int)
-        self.dim = pos
-        self.nn_idx = np.asarray(nn_idx, dtype=int)
-        self.soc_slices = soc_slices
+        # kind code per block: 0 Zero, 1 NonNeg, 2 SecondOrder
+        kinds = np.array([0 if isinstance(blk, Zero) else 1 if isinstance(blk, NonNeg) else 2
+                          for blk in blocks], dtype=int)
+        dims = np.array([blk.dim for blk in blocks], dtype=int)
+        row_kind = np.repeat(kinds, dims)
+        self.zero_rows = np.flatnonzero(row_kind == 0)
+        self.cone_rows = np.flatnonzero(row_kind != 0)
+        cone_kind = row_kind[self.cone_rows]
+        self.dim = pos = self.cone_rows.size
+        self.nn_idx = np.flatnonzero(cone_kind == 1)
+        self.soc_rows = np.flatnonzero(cone_kind == 2)
+        # first cone row of each non-Zero block, kept for the second-order ones
+        cone_dims = dims[kinds != 0]
+        is_soc = kinds[kinds != 0] == 2
+        soc_dims = cone_dims[is_soc]
+        self.soc_starts = (np.cumsum(cone_dims) - cone_dims)[is_soc]
+        self.soc_slices = list(zip(self.soc_starts.tolist(), (self.soc_starts + soc_dims).tolist()))
         # barrier degree: 1 per nonneg component, 1 per second-order block
-        self.degree = len(nn_idx) + len(soc_slices)
+        self.degree = self.nn_idx.size + self.soc_starts.size
 
-        dims = [hi - lo for lo, hi in soc_slices]
-        self.soc_starts = np.asarray([lo for lo, _ in soc_slices], dtype=int)
-        self.soc_rows = np.concatenate([np.arange(lo, hi) for lo, hi in soc_slices]
-                                       or [np.zeros(0, dtype=int)])
         # block number of each second-order row (0 on nonneg rows, which
         # every use masks out) and J = diag(1, -I) per block, 0 elsewhere
         self.block = np.zeros(pos, dtype=int)
-        self.block[self.soc_rows] = np.repeat(np.arange(len(dims)), dims)
+        self.block[self.soc_rows] = np.repeat(np.arange(soc_dims.size), soc_dims)
         self.tail = np.zeros(pos, dtype=bool)
         self.tail[self.soc_rows] = True
         self.tail[self.soc_starts] = False

@@ -33,7 +33,6 @@ from functools import cached_property
 
 import numpy as np
 import scipy.linalg as sla
-import scipy.sparse as sp
 
 from .cones import ConeBlock, ConeStructure, GramPlan, NonNeg, NTScaling, SecondOrder, Zero
 
@@ -111,7 +110,7 @@ class RowMatrix:
 
     @classmethod
     def dense(cls, a) -> RowMatrix:
-        a = a.toarray() if sp.issparse(a) else np.asarray(a, dtype=float)
+        a = a.toarray() if hasattr(a, "toarray") else np.asarray(a, dtype=float)
         m = a.shape[0] if a.ndim else 0
         return cls(a, np.arange(m), np.ones(m))
 
@@ -254,14 +253,12 @@ class _KKT:
         h = scaling.gram(plan)
         mreg = np.zeros((n + p, n + p))
         mreg[:n, :n] = h
-        if p:
-            mreg[:n, n:] = aeq.T
-            mreg[n:, :n] = aeq
-        scale = max(1.0, float(np.trace(h)) / max(n, 1))
-        mreg[:n, :n] += REG * scale * np.eye(n)
-        if p:
-            mreg[n:, n:] -= REG * scale * np.eye(p)
-        self.n, self.p = n, p
+        mreg[:n, n:] = aeq.T
+        mreg[n:, :n] = aeq
+        reg = REG * max(1.0, float(np.trace(h)) / max(n, 1))
+        # +reg on the diagonal of H, -reg on that of the equality block
+        mreg.flat[:: n + p + 1] += np.repeat([reg, -reg], [n, p])
+        self.n = n
         self.aeq, self.g, self.scaling = aeq, g, scaling
         self.lu, self.piv = sla.lu_factor(mreg)
         self.refine_steps = refine_steps
@@ -316,17 +313,15 @@ def solve(p: ConeProgram, opts: SolverOptions | None = None) -> ConeSolution:
         # all-zero rows (constant slack entries) do not influence scaling
         return np.where(norms > 1e-300, norms, 1.0)
 
-    d_eq = row_scale(np.linalg.norm(aeq, axis=1)) if aeq.size else np.ones(aeq.shape[0])
+    d_eq = row_scale(np.linalg.norm(aeq, axis=1))
     d_cone = np.ones(m)
-    if m:
-        row_norms = g.row_norms()
-        if struct.nn_idx.size:
-            d_cone[struct.nn_idx] = row_scale(row_norms[struct.nn_idx])
-        for lo, hi in struct.soc_slices:
-            live = row_norms[lo:hi]
-            live = live[live > 1e-300]
-            d_cone[lo:hi] = np.exp(np.mean(np.log(live))) if live.size else 1.0
-    aeq = aeq / d_eq[:, None] if aeq.size else aeq
+    row_norms = g.row_norms()
+    d_cone[struct.nn_idx] = row_scale(row_norms[struct.nn_idx])
+    for lo, hi in struct.soc_slices:
+        live = row_norms[lo:hi]
+        live = live[live > 1e-300]
+        d_cone[lo:hi] = np.exp(np.mean(np.log(live))) if live.size else 1.0
+    aeq = aeq / d_eq[:, None]
     beq = beq / d_eq
     g = g.divide_rows(d_cone)
     h = h / d_cone
@@ -393,18 +388,19 @@ def solve(p: ConeProgram, opts: SolverOptions | None = None) -> ConeSolution:
             if not improved or err <= POLISH_FLOOR:
                 break
         else:
-            # certificate checks
+            # certificate checks on the residuals in hand: A'y + G'z is
+            # r_d - c tau, A x is r_p + b tau and G x + s is r_c + h tau
             ip = beq @ y + h @ z
             if ip < -1e-14:
                 nu = -1.0 / ip
-                if np.linalg.norm(aeq.T @ (nu * y) + g.rmatvec(nu * z)) <= opts.tol * norm_c:
+                if nu * _norm(r_d - c * tau) <= opts.tol * norm_c:
                     return report(SolveStatus.Infeasible, iterations, np.full(n, np.nan),
                                   nu * y, nu * z, np.full(m, np.nan), pres, dres, relgap, np.nan)
             ic = c @ x
             if ic < -1e-14:
                 nu = -1.0 / ic
-                if (np.linalg.norm((aeq @ (nu * x)) * d_eq) <= opts.tol * norm_beq_orig
-                        and np.linalg.norm((g @ (nu * x) + nu * s) * d_cone) <= opts.tol * norm_h_orig):
+                if (nu * _norm((r_p + beq * tau) * d_eq) <= opts.tol * norm_beq_orig
+                        and nu * _norm((r_c + h * tau) * d_cone) <= opts.tol * norm_h_orig):
                     return report(SolveStatus.Unbounded, iterations, nu * x, np.full(aeq.shape[0], np.nan),
                                   np.full(m, np.nan), nu * s, pres, dres, relgap, np.nan)
 
@@ -456,25 +452,20 @@ def solve(p: ConeProgram, opts: SolverOptions | None = None) -> ConeSolution:
                 alpha = min(alpha, -kappa / dkappa)
             return alpha
 
-        if relgap <= 0.9 * opts.tol and (pres > opts.tol or dres > opts.tol):
-            # the gap has converged but feasibility lags: pure centering
-            # steps polish the residuals without shrinking mu further into
-            # the region where the scaling turns numerically singular
-            sigma = 1.0
-            d_s = -struct.prod(lmbda, lmbda) + sigma * mu * e
-            d_kappa = -tau * kappa + sigma * mu
-            dx, dy, dz, ds, dtau, dkappa = direction(d_s, d_kappa)
-        else:
-            # predictor
-            aff = direction(-struct.prod(lmbda, lmbda), -tau * kappa)
-            alpha_aff = min(1.0, max_step(aff[2], aff[3], aff[4], aff[5]))
+        # a Mehrotra predictor sets sigma and the corrector, unless the gap
+        # has converged but feasibility lags: then a centering step (sigma 1,
+        # no corrector) polishes the residuals without shrinking mu into the
+        # region where the scaling turns numerically singular
+        lsq = struct.prod(lmbda, lmbda)
+        sigma, corr, corr_kappa = 1.0, 0.0, 0.0
+        if not (relgap <= 0.9 * opts.tol and (pres > opts.tol or dres > opts.tol)):
+            aff = direction(-lsq, -tau * kappa)
+            alpha_aff = min(1.0, max_step(*aff[2:]))
             sigma = min(1.0, max(0.0, (1.0 - alpha_aff))) ** 3
-
-            # corrector
             corr = struct.prod(scaling.apply_inv(aff[3]), scaling.apply(aff[2]))
-            d_s = -struct.prod(lmbda, lmbda) + sigma * mu * e - corr
-            d_kappa = -tau * kappa + sigma * mu - aff[4] * aff[5]
-            dx, dy, dz, ds, dtau, dkappa = direction(d_s, d_kappa)
+            corr_kappa = aff[4] * aff[5]
+        dx, dy, dz, ds, dtau, dkappa = direction(-lsq + sigma * mu * e - corr,
+                                                 -tau * kappa + sigma * mu - corr_kappa)
 
         if not all(np.isfinite(d).all() for d in (dx, dy, dz, ds)) or not np.isfinite(dtau + dkappa):
             break

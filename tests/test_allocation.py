@@ -267,6 +267,8 @@ class TestJson:
         ("budgets", [0.8, 0.8], "budgets sum to 1.6 > 1"),
         ("lamda", 5.0, "^lamda: unknown key$"),
         ("cov", [[1.0, "x"], ["x", 1.0]], "^cov: entries must be numbers$"),
+        ("budgets", ["0.5", "0.5"], "^budgets: entries must be numbers$"),
+        ("upper", [1.0, True], "^upper: entries must be numbers$"),
     ])
     def test_bad_field_named(self, field, value, message):
         doc = {"cov": [[1.0, 0.0], [0.0, 1.0]], "budgets": [0.5, 0.5], field: value}

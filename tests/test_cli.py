@@ -1,6 +1,7 @@
 import json
 import os
 from datetime import date, timedelta
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -130,7 +131,7 @@ class TestBacktestCommand:
         for name in ("ledger_CRB.csv", "ledger_MRB.csv", "summary.csv",
                      "summary.txt", "drawdowns.csv", "drawdowns.txt", "manifest.json"):
             assert os.path.exists(os.path.join(out_dir, name)), name
-        manifest = json.loads(open(os.path.join(out_dir, "manifest.json")).read())
+        manifest = json.loads(Path(out_dir, "manifest.json").read_text())
         assert manifest["strategies"] == ["CRB", "MRB"]
         assert len(manifest["inputs"]) == 2
         stdout = capsys.readouterr().out
@@ -142,7 +143,7 @@ class TestBacktestCommand:
         out_dir = str(tmp_path / "out")
         assert main(["backtest", "--prices", prices, "--config", config,
                      "--out-dir", out_dir]) == 0
-        rows = open(os.path.join(out_dir, "ledger_CRB.csv")).read().splitlines()
+        rows = Path(out_dir, "ledger_CRB.csv").read_text().splitlines()
         header = rows[0].split(",")
         w_cols = [i for i, c in enumerate(header) if c.startswith("w_")]
         for row in rows[1:]:
@@ -168,8 +169,8 @@ class TestBacktestCommand:
         main(["backtest", "--prices", prices, "--config", config, "--out-dir", out1])
         main(["backtest", "--prices", prices, "--config", config, "--out-dir", out2])
         for name in ("ledger_CRB.csv", "ledger_MRB.csv", "summary.csv", "drawdowns.csv"):
-            a = open(os.path.join(out1, name), "rb").read()
-            b = open(os.path.join(out2, name), "rb").read()
+            a = Path(out1, name).read_bytes()
+            b = Path(out2, name).read_bytes()
             assert a == b, name
 
     def test_empty_prices_exits_1(self, tmp_path, capsys):
@@ -188,6 +189,9 @@ class TestBacktestCommand:
         ("mu", "0.001", "mu must be a finite number >= 0, got '0.001'"),
         ("lamda", 5.0, "config.lamda: unknown key"),
         ("budgets", {"A": 0.5}, "budgets: entries must be numbers"),
+        ("budgets", ["0.4", "0.1"], "budgets: entries must be numbers"),
+        ("budgets", [0, True], "budgets: entries must be numbers"),
+        ("budgets", [0.3, 0.1, 0.1], "budgets has 3 entries, but the panel has 2 assets"),
     ])
     def test_bad_setting_exits_1_before_any_week(self, tmp_path, capsys, monkeypatch, key, value,
                                                  message):
@@ -283,8 +287,8 @@ class TestGoldenLedgers:
         names = [f"ledger_{s}.csv" for s in ("CRB", "CRB_SMART", "MRB", "MRBA", "MRBAL")]
         names += ["summary.csv", "drawdowns.csv", "summary.txt", "drawdowns.txt"]
         for name in names:
-            produced = open(os.path.join(out_dir, name), "rb").read()
-            golden = open(os.path.join("tests/data/golden", name), "rb").read()
+            produced = Path(out_dir, name).read_bytes()
+            golden = Path("tests/data/golden", name).read_bytes()
             assert produced == golden, name
 
 

@@ -1,5 +1,6 @@
 import io
 from datetime import date
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -173,7 +174,7 @@ class TestPanelCsv:
         assert panel.n_periods == 4
         buf = io.StringIO()
         panel_to_csv(panel, buf)
-        assert buf.getvalue() == open(golden).read()
+        assert buf.getvalue() == Path(golden).read_text()
 
 
 class TestWeeklyPanelInvariants:

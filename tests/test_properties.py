@@ -1,0 +1,240 @@
+"""Property tests of the solve path.
+
+Programs are built with a known answer: a planted optimum from a
+complementary triple ``(x*, s*, z*)``, an infeasible program from a Farkas
+multiplier and an unbounded one from a recession ray. Each example is a
+seeded draw, so the whole file runs the same examples every time.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from riskbudget.allocation import AllocationProblem, solve_allocation
+from riskbudget.backtest import DEFAULT_SOLVER_OPTIONS
+from riskbudget.cones import ConeStructure, NonNeg, SecondOrder, Zero
+from riskbudget.solver import ConeProgram, SolveStatus, solve
+
+TOL = 1e-8
+# headroom over the solver's own test for recomputing a residual from the
+# dense matrix in a different summation order
+ROUNDING = 1.01
+
+PROPERTY = settings(derandomize=True, max_examples=30, deadline=None)
+
+cone_blocks = st.lists(st.one_of(st.builds(NonNeg, st.integers(1, 3)),
+                                 st.builds(SecondOrder, st.integers(2, 4))),
+                       min_size=1, max_size=4)
+seeds = st.integers(0, 2**32 - 1)
+
+
+@st.composite
+def layouts(draw):
+    """Cone blocks, with a Zero block at a random place or none."""
+    blocks = draw(cone_blocks)
+    zero = draw(st.integers(0, 2))
+    if zero:
+        blocks.insert(draw(st.integers(0, len(blocks))), Zero(zero))
+    return blocks
+
+
+def zero_dims(blocks):
+    return sum(blk.dim for blk in blocks if isinstance(blk, Zero))
+
+
+def norm(v):
+    return float(np.linalg.norm(v))
+
+
+def rows_of(blocks):
+    """Row slice of each block."""
+    out, row = [], 0
+    for blk in blocks:
+        out.append(slice(row, row + blk.dim))
+        row += blk.dim
+    return out
+
+
+def interior(blocks, rng):
+    """A point interior to every cone block, 0 on Zero rows."""
+    u = np.zeros(sum(blk.dim for blk in blocks))
+    for blk, r in zip(blocks, rows_of(blocks)):
+        if isinstance(blk, NonNeg):
+            u[r] = rng.uniform(0.5, 2.0, blk.dim)
+        elif isinstance(blk, SecondOrder):
+            tail = rng.standard_normal(blk.dim - 1)
+            u[r] = np.r_[norm(tail) + rng.uniform(0.5, 2.0), tail]
+    return u
+
+
+def margin(blocks, u):
+    """Smallest distance of ``u`` inside a cone block (negative outside)."""
+    out = np.inf
+    for blk, r in zip(blocks, rows_of(blocks)):
+        if isinstance(blk, NonNeg):
+            out = min(out, float(u[r].min()))
+        elif isinstance(blk, SecondOrder):
+            out = min(out, float(u[r][0] - norm(u[r][1:])))
+    return out
+
+
+def split(blocks, a, v):
+    """``a`` and ``v`` on the Zero rows, then on the cone rows."""
+    zero = np.concatenate([np.arange(r.start, r.stop) for blk, r in zip(blocks, rows_of(blocks))
+                           if isinstance(blk, Zero)] or [np.zeros(0, dtype=int)])
+    cone = np.setdiff1d(np.arange(v.size), zero)
+    return a[zero], v[zero], a[cone], v[cone]
+
+
+def planted(blocks, n, rng):
+    """A program whose optimum ``x*`` has slack ``s*`` and multipliers ``z*``
+    with ``c = -A' z*`` and ``s* o z* = 0``, strictly complementary: on each
+    block either one of the pair is 0 and the other interior, or both lie
+    on opposite boundary rays of a second-order block."""
+    m = sum(blk.dim for blk in blocks)
+    a = rng.standard_normal((m, n))
+    x = rng.standard_normal(n)
+    s, z = np.zeros(m), np.zeros(m)
+    for blk, r in zip(blocks, rows_of(blocks)):
+        if isinstance(blk, Zero):
+            z[r] = rng.standard_normal(blk.dim)
+        elif isinstance(blk, NonNeg):
+            active = rng.random(blk.dim) < 0.5
+            size = rng.uniform(0.5, 2.0, blk.dim)
+            s[r] = np.where(active, 0.0, size)
+            z[r] = np.where(active, size, 0.0)
+        else:
+            kind = rng.integers(3)
+            if kind == 0:
+                ray = rng.standard_normal(blk.dim - 1)
+                ray /= norm(ray)
+                s[r] = rng.uniform(0.5, 2.0) * np.r_[1.0, ray]
+                z[r] = rng.uniform(0.5, 2.0) * np.r_[1.0, -ray]
+            else:
+                (s if kind == 1 else z)[r] = interior([blk], rng)
+    prog = ConeProgram(c=-a.T @ z, A=a, b=a @ x + s, cones=blocks)
+    return prog, float(prog.c @ x)
+
+
+@PROPERTY
+@given(blocks=layouts(), extra=st.integers(0, 2), seed=seeds)
+def test_planted_optimum_is_found(blocks, extra, seed):
+    rng = np.random.default_rng(seed)
+    # at least as many variables as any block has rows, and more than the
+    # Zero rows, so both the program and its dual keep an interior
+    n = max(max(blk.dim for blk in blocks), zero_dims(blocks) + 1) + extra
+    prog, optimum = planted(blocks, n, rng)
+    sol = solve(prog)
+    assert sol.status is SolveStatus.Optimal
+    assert abs(sol.objective - optimum) <= 1e-6 * (1.0 + abs(optimum))
+
+    a = np.asarray(prog.A)
+    a_eq, b_eq, a_k, b_k = split(blocks, a, prog.b)
+    _, _, _, s_k = split(blocks, a, sol.slack)
+    assert norm(a_eq @ sol.primal - b_eq) <= ROUNDING * TOL * (1.0 + norm(b_eq))
+    assert norm(a_k @ sol.primal + s_k - b_k) <= ROUNDING * TOL * (1.0 + norm(b_k))
+    assert norm(a.T @ sol.dual + prog.c) <= ROUNDING * TOL * (1.0 + norm(prog.c))
+    dobj = -float(prog.b @ sol.dual)
+    gap = float(sol.slack @ sol.dual) / max(1.0, abs(sol.objective), abs(dobj))
+    assert gap <= ROUNDING * TOL
+    assert margin(blocks, sol.slack) >= 0 and margin(blocks, sol.dual) >= 0
+
+
+@PROPERTY
+@given(blocks=layouts(), n=st.integers(1, 4), seed=seeds)
+def test_infeasible_program_has_a_farkas_certificate(blocks, n, seed):
+    rng = np.random.default_rng(seed)
+    # a multiplier y0 (free on Zero rows, interior on the cones) with
+    # A'y0 = 0 and b'y0 = -1 proves b - A x in K impossible
+    y0 = interior(blocks, rng)
+    for blk, r in zip(blocks, rows_of(blocks)):
+        if isinstance(blk, Zero):
+            y0[r] = rng.standard_normal(blk.dim)
+    a = rng.standard_normal((y0.size, n))
+    a -= np.outer(y0, y0 @ a) / (y0 @ y0)
+    b = rng.standard_normal(y0.size)
+    b -= (b @ y0 + 1.0) * y0 / (y0 @ y0)
+    prog = ConeProgram(c=rng.standard_normal(n), A=a, b=b, cones=blocks)
+    sol = solve(prog)
+    assert sol.status is SolveStatus.Infeasible
+    y = sol.dual
+    assert float(prog.b @ y) < 0
+    assert norm(a.T @ y) <= ROUNDING * TOL * (1.0 + norm(prog.c))
+    assert margin(blocks, y) >= 0
+
+
+@PROPERTY
+@given(blocks=layouts(), extra=st.integers(0, 2), seed=seeds)
+def test_unbounded_program_has_a_recession_ray(blocks, extra, seed):
+    rng = np.random.default_rng(seed)
+    # a ray r with A_eq r = 0, -A_K r interior to the cones and c'r = -1
+    # from a feasible point: the objective falls without bound along it
+    n = zero_dims(blocks) + 1 + extra
+    ray = rng.standard_normal(n)
+    push = interior(blocks, rng)
+    a = rng.standard_normal((push.size, n))
+    a -= np.outer(a @ ray + push, ray) / (ray @ ray)
+    c = rng.standard_normal(n)
+    c -= (c @ ray + 1.0) * ray / (ray @ ray)
+    b = a @ rng.standard_normal(n) + interior(blocks, rng)
+    prog = ConeProgram(c=c, A=a, b=b, cones=blocks)
+    sol = solve(prog)
+    assert sol.status is SolveStatus.Unbounded
+    a_eq, b_eq, a_k, b_k = split(blocks, a, b)
+    _, _, _, s_k = split(blocks, a, sol.slack)
+    assert float(c @ sol.primal) < 0
+    assert norm(a_eq @ sol.primal) <= ROUNDING * TOL * (1.0 + norm(b_eq))
+    assert norm(a_k @ sol.primal + s_k) <= ROUNDING * TOL * (1.0 + norm(b_k))
+    assert margin(blocks, sol.slack) >= 0
+
+
+@PROPERTY
+@given(blocks=layouts())
+def test_structure_matches_a_row_walk(blocks):
+    struct = ConeStructure(blocks)
+    kinds = [type(blk) for blk in blocks for _ in range(blk.dim)]
+    assert list(struct.zero_rows) == [i for i, k in enumerate(kinds) if k is Zero]
+    assert list(struct.cone_rows) == [i for i, k in enumerate(kinds) if k is not Zero]
+    cone_kinds = [k for k in kinds if k is not Zero]
+    assert struct.dim == len(cone_kinds)
+    assert list(struct.nn_idx) == [i for i, k in enumerate(cone_kinds) if k is NonNeg]
+    pos, soc = 0, []
+    for blk in blocks:
+        if isinstance(blk, SecondOrder):
+            soc.append((pos, pos + blk.dim))
+        if not isinstance(blk, Zero):
+            pos += blk.dim
+    assert struct.soc_slices == soc
+    assert list(struct.soc_starts) == [lo for lo, _ in soc]
+    assert struct.degree == len(struct.nn_idx) + len(soc)
+    for k, (lo, hi) in enumerate(soc):
+        assert (struct.block[lo:hi] == k).all()
+
+
+def floor_residuals(cov, budgets, x):
+    """Distance outside its cone of each floor block ``(x_i + (Cx)_i,
+    x_i - (Cx)_i, 2 sqrt(b_i) R x)``, using ``||R x||^2 = x'Cx``."""
+    cx = cov @ x
+    var = max(float(x @ cx), 0.0)
+    return np.maximum(np.sqrt((x - cx) ** 2 + 4.0 * budgets * var) - (x + cx), 0.0)
+
+
+@PROPERTY
+@given(n=st.integers(2, 5), floors=st.floats(0.0, 1.0), lam=st.sampled_from([0.0, 0.5, 1.0]),
+       mu=st.sampled_from([0.0, 0.001]), seed=seeds)
+def test_allocation_is_fully_invested_and_meets_every_floor(n, floors, lam, mu, seed):
+    rng = np.random.default_rng(seed)
+    loadings = rng.normal(0.0, 0.02, (n, 2))
+    cov = loadings @ loadings.T + np.diag(rng.uniform(0.01, 0.03, n) ** 2)
+    problem = AllocationProblem(cov=0.5 * (cov + cov.T), budgets=floors * rng.dirichlet(np.ones(n)),
+                                forecasts=rng.normal(0.001, 0.002, n), lam=lam, mu=mu,
+                                prev_weights=rng.dirichlet(np.ones(n)))
+    # at the backtest engine's tolerance, which the benchmark checks gate
+    tol = DEFAULT_SOLVER_OPTIONS.tol
+    x = solve_allocation(problem, DEFAULT_SOLVER_OPTIONS).weights
+    # the bounds those checks state for an Optimal allocation: the budget
+    # row within tol of 1, each floor cone within sqrt(2) tol
+    prev, lower, upper = problem.prev_weights, problem.lower, problem.upper
+    assert abs(x.sum() - 1.0) <= tol * (1.0 + np.sqrt(1.0 + prev @ prev))
+    cone_scale = tol * (1.0 + np.sqrt(lower @ lower + upper @ upper))
+    assert floor_residuals(problem.cov, problem.budgets, x).max() <= np.sqrt(2.0) * cone_scale
