@@ -108,9 +108,12 @@ class BacktestConfig:
 
 @dataclass
 class EngineState:
-    """Decision inputs for one rebalance, all measured strictly pre-fill."""
+    """Decision inputs for one rebalance, all measured strictly pre-fill.
 
-    cov: np.ndarray
+    ``cov`` is None for the CRB benchmarks, which do not read it.
+    """
+
+    cov: np.ndarray | None
     forecast: np.ndarray
     cum_returns: np.ndarray
     prev_weights: np.ndarray
@@ -246,15 +249,16 @@ def run(panel: WeeklyPanel, cfg: BacktestConfig) -> BacktestLedger:
         [], [], [], [], [], [], [], [], []
     prev_w = np.zeros(n)
     value = 1.0
+    # the CRB benchmarks never read a covariance
+    solving = cfg.strategy not in ("CRB", "CRB_SMART")
     for t in range(FIRST_DECISION, panel.n_periods):
         week_ret = rets[t - 1]
         growth = 1.0 + float(prev_w @ week_ret)
         value *= growth
         drifted = prev_w * (1.0 + week_ret) / growth if growth > 0 else np.zeros(n)
 
-        history = rets[: t - 1]
         state = EngineState(
-            cov=prepare_covariance(history, cfg.psd_eps),
+            cov=prepare_covariance(rets[: t - 1], cfg.psd_eps) if solving else None,
             forecast=rets[t - 2],
             cum_returns=panel.prices[t - 1] / panel.prices[0] - 1.0,
             prev_weights=drifted,

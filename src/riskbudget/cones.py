@@ -186,7 +186,11 @@ class NTScaling:
     J = diag(1, -I). Per-block data is stored stacked so that products
     vectorize across blocks via segmented reductions: ``w`` holds w or eta
     per row, and ``v_all`` is zero on nonneg rows, so each of W, W^-1, W^2
-    and W^-2 is one expression over all rows.
+    and W^-2 is one expression over all rows. Since det v = v'Jv = 1, the
+    quadratic-representation identity P(v)^2 = P(v o v) gives
+    W^2 = eta^2 (2 (v o v)(v o v)' - J) and, with (v o v)^-1 = J(v o v),
+    W^-2 = eta^-2 (2 J(v o v) (J(v o v))' - J): the same one-vector form as
+    W, from the Jordan square ``vsq`` stored once per scaling.
     """
 
     def __init__(self, struct: ConeStructure, s: np.ndarray, z: np.ndarray):
@@ -194,6 +198,7 @@ class NTScaling:
         self.eta = np.zeros(struct.soc_starts.size)
         self.vtv = np.zeros(struct.soc_starts.size)
         self.v_all = np.zeros(struct.dim)  # concatenated v per block, zero elsewhere
+        self.vsq = np.zeros(struct.dim)  # the Jordan square v o v, likewise
         if struct.soc_starts.size:
             blk, starts = struct.block, struct.soc_starts
             ds = np.sqrt(struct.jdot(s, s))
@@ -209,6 +214,9 @@ class NTScaling:
             self.v_all[struct.soc_rows] = v[struct.soc_rows]
             self.eta = np.sqrt(ds / dz)
             self.vtv = struct.blocksum(self.v_all * self.v_all)
+            # v o v = (v'v, 2 v0 v1) per block
+            self.vsq = 2.0 * v0[blk] * self.v_all
+            self.vsq[starts] = self.vtv
         nn = struct.nn_idx
         self.w = np.empty(struct.dim)
         self.w[nn] = np.sqrt(s[nn] / z[nn])
@@ -217,15 +225,17 @@ class NTScaling:
         self.w_sq = self.w * self.w
         self.w_inv_sq = 1.0 / self.w_sq
         self._jv_all = struct.jsign * self.v_all
+        self._jvsq = struct.jsign * self.vsq
         self.lmbda = self.apply(z)
 
     def _scale(self, u, vec, factor):
         # factor * (2 vec (vec'u) - J u) per block: W with (v, w), W^-1 with
-        # (Jv, 1/w); vec vanishes on nonneg rows, leaving factor * u
+        # (Jv, 1/w), W^2 with (v o v, w^2) and W^-2 with (J(v o v), 1/w^2);
+        # vec vanishes on nonneg rows, leaving factor * u
         st = self.struct
         out = st.negj * u
         if self.eta.size:
-            out += 2.0 * vec * st.blocksum(vec * u)[st.block]
+            out += vec * (2.0 * st.blocksum(vec * u))[st.block]
         return factor * out
 
     def apply(self, u: np.ndarray) -> np.ndarray:
@@ -236,25 +246,13 @@ class NTScaling:
         """W^{-1} u."""
         return self._scale(u, self._jv_all, self.w_inv)
 
-    def _square(self, u, p, q, factor):
-        # factor * (u + 4 (v'v)(p'u) p - 2 (q'u) p - 2 (p'u) q) per block:
-        # W^2 with (p, q, factor) = (v, Jv, w^2), W^{-2} with (Jv, v, 1/w^2);
-        # p and q vanish on nonneg rows, leaving factor * u
-        if not self.eta.size:
-            return factor * u
-        st = self.struct
-        pu = st.blocksum(p * u)
-        qu = st.blocksum(q * u)
-        blk = st.block
-        return factor * (u + (4.0 * self.vtv * pu - 2.0 * qu)[blk] * p - 2.0 * pu[blk] * q)
-
     def apply_sq(self, u: np.ndarray) -> np.ndarray:
-        """W^2 u in one pass."""
-        return self._square(u, self.v_all, self._jv_all, self.w_sq)
+        """W^2 u, as eta^2 (2 (v o v)(v o v)' - J) u."""
+        return self._scale(u, self.vsq, self.w_sq)
 
     def apply_inv_sq(self, u: np.ndarray) -> np.ndarray:
-        """W^{-2} u in one pass."""
-        return self._square(u, self._jv_all, self.v_all, self.w_inv_sq)
+        """W^{-2} u, as eta^-2 (2 J(v o v) (J(v o v))' - J) u."""
+        return self._scale(u, self._jvsq, self.w_inv_sq)
 
     def gram(self, plan: GramPlan) -> np.ndarray:
         """Assemble H = G' W^{-2} G for the cone rows G = diag(scale) K[idx].
@@ -305,7 +303,8 @@ class GramPlan:
     reach only the rows of K that second-order rows copy, on those rows'
     column support. For the allocation program the products stay in the
     n asset columns and the epigraph column, whatever the number of
-    variables.
+    variables, and the 2n turnover columns after them are ``split:``, the
+    diagonal block that the KKT solve eliminates.
     """
 
     def __init__(self, struct: ConeStructure, g):
@@ -319,17 +318,29 @@ class GramPlan:
         self.single_col = np.nonzero(nonzero[self.single])[1]
         self.single_sq = kmat[self.single, self.single_col] ** 2
         self.multi = np.flatnonzero(used & (count > 1))
-        cols = np.flatnonzero(nonzero[self.multi].any(axis=0))
-        self.multi_k = kmat[np.ix_(self.multi, cols)]
-        self.multi_ix = np.ix_(cols, cols)
+        multi_cols = np.flatnonzero(nonzero[self.multi].any(axis=0))
+        self.multi_k = kmat[np.ix_(self.multi, multi_cols)]
+        self.multi_ix = np.ix_(multi_cols, multi_cols)
         # rank-two terms: cell (local K row, block) of a_k, then of b_k
         rows = struct.soc_rows
         soc_k = np.flatnonzero(np.bincount(self.idx[rows], minlength=self.nrows))
         local = np.searchsorted(soc_k, self.idx[rows])
-        cols = np.flatnonzero(nonzero[soc_k].any(axis=0))
-        self.soc_k = kmat[np.ix_(soc_k, cols)]
-        self.soc_ix = np.ix_(cols, cols)
+        soc_cols = np.flatnonzero(nonzero[soc_k].any(axis=0))
+        self.soc_k = kmat[np.ix_(soc_k, soc_cols)]
+        self.soc_ix = np.ix_(soc_cols, soc_cols)
         k = struct.soc_starts.size
         cell = local * (2 * k) + struct.block[rows]
         self.cell = np.concatenate([cell, cell + k])
         self.soc_scale = g.scale[rows]
+        # a column that single-entry rows reach (with a nonzero factor, so
+        # that its diagonal is positive) and no other row does is a diagonal
+        # block of the Gram with no coupling to the rest; the columns from
+        # ``split`` on are the trailing run of such columns (the allocation
+        # program's turnover split), which the KKT solve eliminates on slices
+        carried = np.bincount(self.idx, self.scale_sq, minlength=self.nrows)[self.single] > 0
+        eliminable = np.zeros(self.ncols, dtype=bool)
+        eliminable[self.single_col[carried]] = True
+        eliminable[multi_cols] = False
+        eliminable[soc_cols] = False
+        kept = np.flatnonzero(~eliminable)
+        self.split = int(kept[-1]) + 1 if kept.size else 0

@@ -238,6 +238,38 @@ class ConeSolution:
     gap: float
 
 
+class _EqualityRows:
+    """The equality rows ``aeq`` split at the eliminated columns ``split:``.
+
+    Built once per solve. ``schur(delta)`` is ``A_D diag(1/delta) A_D'``
+    for the eliminated block ``A_D``, summed over the pairs of its entries
+    that share a column, found here: the allocation program's turnover
+    columns meet one row each, so the term costs one ``bincount`` of 2n
+    entries and no dense product.
+    """
+
+    def __init__(self, aeq, split):
+        self.aeq, self.split = aeq, split
+        self.aeq_k, self.aeq_d = aeq[:, :split], aeq[:, split:]
+        self.p = p = aeq.shape[0]
+        col, row = np.nonzero(self.aeq_d.T)  # entries, column by column
+        val = self.aeq_d[row, col]
+        # pair each entry with every entry of its column, itself included
+        count = np.bincount(col)[col]
+        left = np.repeat(np.arange(col.size), count)
+        offset = np.arange(left.size) - np.repeat(np.cumsum(count) - count, count)
+        right = np.repeat(np.searchsorted(col, col), count) + offset
+        self.cell = row[left] * p + row[right]
+        self.col = col[left]
+        self.val = val[left] * val[right]
+        # sign of the regularization: + on the kept columns, - on the rows
+        self.sign = np.repeat([1.0, -1.0], [split, p])
+
+    def schur(self, delta):
+        return np.bincount(self.cell, self.val / delta[self.col],
+                           minlength=self.p * self.p).reshape(self.p, self.p)
+
+
 class _KKT:
     """Factored reduced KKT system [[H, Aeq'], [Aeq, 0]] with H = G'W^-2 G.
 
@@ -245,41 +277,50 @@ class _KKT:
     by elimination of dz, with iterative refinement carried out in the full
     3-block space (W applied functionally) to recover accuracy lost when
     forming H at extreme scalings.
+
+    The columns ``D = split:`` that ``GramPlan`` finds eliminable have a
+    diagonal block ``H_DD`` coupled to nothing else in H, so they are
+    eliminated as well: LU factors only the kept columns and the equality
+    rows, ``[[H_KK + reg, Aeq_K'], [Aeq_K, -reg I - Aeq_D (H_DD + reg)^-1
+    Aeq_D']]``, and ``dx_D = (gx_D - Aeq_D' dy) / (H_DD + reg)``. For the
+    allocation program with turnover the order falls from 4n+2 to 2n+2.
     """
 
-    def __init__(self, aeq, g, plan, scaling, refine_steps):
+    def __init__(self, eq, g, plan, scaling, refine_steps):
         n = g.shape[1]
-        p = aeq.shape[0]
+        k, p = eq.split, eq.p
         h = scaling.gram(plan)
-        mreg = np.zeros((n + p, n + p))
-        mreg[:n, :n] = h
-        mreg[:n, n:] = aeq.T
-        mreg[n:, :n] = aeq
-        reg = REG * max(1.0, float(np.trace(h)) / max(n, 1))
-        # +reg on the diagonal of H, -reg on that of the equality block
-        mreg.flat[:: n + p + 1] += np.repeat([reg, -reg], [n, p])
-        self.n = n
-        self.aeq, self.g, self.scaling = aeq, g, scaling
+        reg = REG * max(1.0, float(h.trace()) / max(n, 1))
+        self.delta = h.diagonal()[k:] + reg
+        mreg = np.empty((k + p, k + p))
+        mreg[:k, :k] = h[:k, :k]
+        mreg[:k, k:] = eq.aeq_k.T
+        mreg[k:, :k] = eq.aeq_k
+        mreg[k:, k:] = -eq.schur(self.delta)
+        mreg.flat[:: k + p + 1] += reg * eq.sign
+        self.eq, self.g, self.scaling = eq, g, scaling
         self.lu, self.piv = sla.lu_factor(mreg)
         self.refine_steps = refine_steps
 
     def _reduced(self, rho_x, rho_y, rho_3):
-        w = self.scaling
+        w, eq, k = self.scaling, self.eq, self.eq.split
         gx = rho_x + self.g.rmatvec(w.apply_inv_sq(rho_3))
-        rhs = np.concatenate([gx, rho_y])
+        gd = gx[k:] / self.delta
+        rhs = np.concatenate([gx[:k], rho_y - eq.aeq_d @ gd])
         # LAPACK rejects an empty system (a program with no variables)
         u = _GETRS(self.lu, self.piv, rhs)[0] if rhs.size else rhs
-        dx, dy = u[: self.n], u[self.n :]
+        dy = u[k:]
+        dx = np.concatenate([u[:k], gd - (eq.aeq_d.T @ dy) / self.delta])
         dz = w.apply_inv_sq(self.g @ dx - rho_3)
         return dx, dy, dz
 
     def solve3(self, rho_x, rho_y, rho_3):
         dx, dy, dz = self._reduced(rho_x, rho_y, rho_3)
-        w = self.scaling
+        w, aeq = self.scaling, self.eq.aeq
         base = max(_norm(rho_x), _norm(rho_y), _norm(rho_3), 1e-300)
         for _ in range(self.refine_steps):
-            res_x = rho_x - (self.aeq.T @ dy + self.g.rmatvec(dz))
-            res_y = rho_y - self.aeq @ dx
+            res_x = rho_x - (aeq.T @ dy + self.g.rmatvec(dz))
+            res_y = rho_y - aeq @ dx
             res_3 = rho_3 - (self.g @ dx - w.apply_sq(dz))
             rnorm = max(_norm(res_x), _norm(res_y), _norm(res_3))
             if rnorm <= 1e-14 * base:
@@ -318,14 +359,18 @@ def solve(p: ConeProgram, opts: SolverOptions | None = None) -> ConeSolution:
     row_norms = g.row_norms()
     d_cone[struct.nn_idx] = row_scale(row_norms[struct.nn_idx])
     for lo, hi in struct.soc_slices:
+        # rows negligible against the block's largest (all-zero rows, or
+        # floors near 1e-200 on the allocation program) would drag the
+        # geometric mean down by as many orders of magnitude
         live = row_norms[lo:hi]
-        live = live[live > 1e-300]
+        live = live[live > np.finfo(float).eps * live.max()]
         d_cone[lo:hi] = np.exp(np.mean(np.log(live))) if live.size else 1.0
     aeq = aeq / d_eq[:, None]
     beq = beq / d_eq
     g = g.divide_rows(d_cone)
     h = h / d_cone
     plan = GramPlan(struct, g)
+    eq = _EqualityRows(aeq, plan.split)
     norm_beq_orig = 1.0 + np.linalg.norm(beq * d_eq)
     norm_h_orig = 1.0 + np.linalg.norm(h * d_cone)
 
@@ -417,7 +462,7 @@ def solve(p: ConeProgram, opts: SolverOptions | None = None) -> ConeSolution:
         iterations += 1
         try:
             scaling = NTScaling(struct, s, z)
-            kkt = _KKT(aeq, g, plan, scaling, refine)
+            kkt = _KKT(eq, g, plan, scaling, refine)
         except (sla.LinAlgError, FloatingPointError, ValueError):
             break
         lmbda = scaling.lmbda

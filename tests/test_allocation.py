@@ -12,6 +12,7 @@ from riskbudget.allocation import (
     problem_to_json,
     solve_allocation,
 )
+from riskbudget.backtest import DEFAULT_SOLVER_OPTIONS
 from riskbudget.budgeting import solve_vanilla
 from riskbudget.cones import NonNeg, SecondOrder
 from riskbudget.solver import SolveStatus
@@ -192,6 +193,21 @@ class TestSolveAllocation:
             sds.append(expected_stats(p, res.weights)[1])
         assert sds[1] <= sds[0] + 1e-8
         assert sds[2] <= sds[1] + 1e-8
+
+    def test_negligible_floors_do_not_skew_equilibration(self):
+        # floors near 1e-204 make the floor blocks' R rows about 1e-104 of
+        # their other rows; counted in a block's row scale they dragged it
+        # to about 1e-62 and the solve ended NumericalFailure after 158
+        # iterations, where zero floors solve in 11
+        rng = np.random.default_rng(0)
+        loadings = rng.normal(0.0, 0.02, (3, 2))
+        cov = loadings @ loadings.T + np.diag(rng.uniform(0.01, 0.03, 3) ** 2)
+        budgets = 1e-204 * rng.dirichlet(np.ones(3))
+        problem = dict(cov=0.5 * (cov + cov.T), forecasts=rng.normal(0.001, 0.002, 3), lam=0.0)
+        tiny = solve_allocation(AllocationProblem(budgets=budgets, **problem), DEFAULT_SOLVER_OPTIONS)
+        zero = solve_allocation(AllocationProblem(budgets=np.zeros(3), **problem), DEFAULT_SOLVER_OPTIONS)
+        assert tiny.solver_stats.iterations <= 20
+        assert np.abs(tiny.weights - zero.weights).max() <= 1e-9
 
     def test_mu_monotone_in_turnover(self):
         rng = np.random.default_rng(5)

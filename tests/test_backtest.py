@@ -1,4 +1,6 @@
 import io
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from riskbudget.backtest import (
     strategy_weights,
 )
 from riskbudget.allocation import InfeasibleAllocation
+from riskbudget.cli import main
 
 from backtest_oracles import (
     FIXTURE_PRICES,
@@ -81,6 +84,29 @@ class TestBenchmarks:
             other = run(panel, cfg)
             assert np.array_equal(other.values, base.values)
             assert np.array_equal(other.weights, base.weights)
+
+    def test_only_solving_strategies_prepare_a_covariance(self, monkeypatch, tmp_path):
+        # the CRB benchmarks never read the covariance, so no week builds
+        # one, and their ledgers are the committed goldens byte for byte
+        calls = []
+        real = bt.symmetric_eig
+
+        def counting(a):
+            calls.append(None)
+            return real(a)
+
+        monkeypatch.setattr(bt, "symmetric_eig", counting)
+        data = Path(__file__).parent / "data"
+        config = json.loads((data / "fixture_config.json").read_text())
+        for strategies, eigs in ((["CRB", "CRB.SMART"], 0), (["MRB"], 3)):
+            calls.clear()
+            path = tmp_path / "config.json"
+            path.write_text(json.dumps({**config, "strategies": strategies}))
+            assert main(["backtest", "--prices", str(data / "fixture_daily.csv"),
+                         "--config", str(path), "--out-dir", str(tmp_path / "out")]) == 0
+            assert len(calls) == eigs
+        for name in ("ledger_CRB.csv", "ledger_CRB_SMART.csv"):
+            assert (tmp_path / "out" / name).read_bytes() == (data / "golden" / name).read_bytes()
 
     def test_crb_smart_dot_name_accepted(self):
         cfg = BacktestConfig(strategy="CRB.SMART")

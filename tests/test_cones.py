@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from riskbudget.allocation import AllocationProblem, build_program
 from riskbudget.cones import ConeStructure, GramPlan, NonNeg, NTScaling, SecondOrder, Zero
 from riskbudget.solver import RowMatrix
 
@@ -72,6 +73,49 @@ def test_nt_scaling_identities(structs):
         d = rng.standard_normal(struct.dim)
         assert np.allclose(w.apply_sq(d), w.apply(w.apply(d)), rtol=1e-10, atol=1e-10)
         assert np.allclose(w.apply_inv_sq(d), w.apply_inv(w.apply_inv(d)), rtol=1e-10, atol=1e-10)
+
+
+def test_w_squared_in_one_vector_form(structs):
+    # W^2 = eta^2 (2 (v o v)(v o v)' - J) from the stored Jordan square,
+    # which has unit determinant like v; checked on well-centred points and
+    # on points of very unequal size (eta far from 1) near the boundary
+    rng = np.random.default_rng(7)
+    for struct in structs * 20:
+        for size in (1.0, 1e-6, 1e6):
+            s = random_interior(struct, rng, scale=size)
+            z = random_interior(struct, rng, scale=1.0 / size)
+            if size != 1.0:
+                for lo, hi in struct.soc_slices:
+                    s[lo] = np.linalg.norm(s[lo + 1 : hi]) * 1.01
+            w = NTScaling(struct, s, z)
+            assert np.allclose(w.vsq, struct.prod(w.v_all, w.v_all), rtol=1e-14, atol=1e-14)
+            assert np.allclose(struct.jdot(w.vsq, w.vsq), 1.0, rtol=1e-12, atol=0.0)
+            u = rng.standard_normal(struct.dim)
+            twice = w.apply(w.apply(u))
+            assert np.linalg.norm(w.apply_sq(u) - twice) <= 1e-12 * np.linalg.norm(twice)
+            assert np.linalg.norm(w.apply_inv_sq(w.apply_sq(u)) - u) <= 1e-12 * np.linalg.norm(u)
+
+
+def test_gram_plan_finds_the_diagonal_columns():
+    # the allocation program's turnover split is the eliminable trailing block
+    n = 4
+    rng = np.random.default_rng(8)
+    a = rng.standard_normal((n, n))
+    for mu, eliminable in ((0.001, 2 * n), (0.0, 0)):
+        prog = build_program(AllocationProblem(cov=a @ a.T / n + np.eye(n), budgets=np.full(n, 0.1),
+                                               mu=mu))
+        struct = prog.structure
+        plan = GramPlan(struct, prog.A.take(struct.cone_rows))
+        assert plan.ncols - plan.split == eliminable
+    # one-entry rows only: as nonneg rows every column is eliminable, but
+    # once they also feed a second-order block (||x_0:3|| <= x_3) none is
+    g = RowMatrix.dense(np.vstack([-np.eye(4), -np.eye(4)[[3, 0, 1, 2]]]))
+    assert GramPlan(ConeStructure([NonNeg(8)]), g).split == 0
+    assert GramPlan(ConeStructure([NonNeg(4), SecondOrder(4)]), g).split == 4
+    # a column whose one-entry rows all carry a zero factor has no diagonal
+    # to divide by, so it stays
+    g = RowMatrix(-np.eye(2), [0, 1], [1.0, 0.0])
+    assert GramPlan(ConeStructure([NonNeg(2)]), g).split == 2
 
 
 def brute_gram(w, g):

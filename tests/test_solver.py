@@ -5,11 +5,12 @@ import re
 
 import numpy as np
 import pytest
+from test_cones import random_interior
 
 from riskbudget import solver as solver_module
-from riskbudget.allocation import build_program, problem_from_json
+from riskbudget.allocation import AllocationProblem, build_program, problem_from_json
 from riskbudget.backtest import DEFAULT_SOLVER_OPTIONS
-from riskbudget.cones import NonNeg, SecondOrder, Zero
+from riskbudget.cones import GramPlan, NonNeg, NTScaling, SecondOrder, Zero
 from riskbudget.solver import (
     ConeProgram,
     ProgramValidationError,
@@ -291,6 +292,45 @@ def test_determinism():
     s1, s2 = solve(prog), solve(prog)
     assert np.array_equal(s1.primal, s2.primal)
     assert s1.iterations == s2.iterations
+
+
+def _allocation_program(n, mu, seed):
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((n, n))
+    cov = (a @ a.T / n + 0.1 * np.eye(n)) * 1e-3
+    return build_program(AllocationProblem(cov=cov, budgets=0.5 * rng.dirichlet(np.ones(n)),
+                                           forecasts=rng.normal(0.001, 0.002, n), mu=mu,
+                                           prev_weights=rng.dirichlet(np.ones(n))))
+
+
+@pytest.mark.parametrize("name,prog,order", [
+    ("allocation with turnover", _allocation_program(5, 0.001, 0), 2 * 5 + 2),
+    ("allocation without turnover", _allocation_program(5, 0.0, 1), 5 + 1 + 1),
+    # every column is eliminated: only the 3 equality rows are factored
+    ("l1 split", {n: p for n, p, _ in battery()}["l1 split"], 3),
+    # an eliminated column that two equality rows share
+    ("shared column", Builder(3).eq([[1.0, 1.0, 0.0], [0.0, 2.0, -1.0]], [1.0, 0.5])
+     .leq(-np.eye(3), np.zeros(3)).program([1.0, 2.0, 3.0]), 2),
+])
+def test_kkt_solve_matches_the_dense_three_block_system(name, prog, order):
+    struct = prog.structure
+    aeq = prog.A.take(struct.zero_rows).toarray()
+    g = prog.A.take(struct.cone_rows)
+    plan = GramPlan(struct, g)
+    rng = np.random.default_rng(9)
+    w = NTScaling(struct, random_interior(struct, rng), random_interior(struct, rng))
+    kkt = solver_module._KKT(solver_module._EqualityRows(aeq, plan.split), g, plan, w, 2)
+    assert kkt.lu.shape == (order, order)
+    gd = np.asarray(g)
+    n, p, m = gd.shape[1], aeq.shape[0], struct.dim
+    wsq = np.column_stack([w.apply_sq(col) for col in np.eye(m)])
+    full = np.block([[np.zeros((n, n)), aeq.T, gd.T],
+                     [aeq, np.zeros((p, p)), np.zeros((p, m))],
+                     [gd, np.zeros((m, p)), -wsq]])
+    rhs = rng.standard_normal(n + p + m)
+    got = np.concatenate(kkt.solve3(rhs[:n], rhs[n : n + p], rhs[n + p :]))
+    want = np.linalg.solve(full, rhs)
+    assert np.linalg.norm(got - want) <= 1e-9 * np.linalg.norm(want)
 
 
 # an MRB week of a seeded 16-asset backtest (lambda 1, mu 0.001) whose
