@@ -26,7 +26,7 @@ import numpy as np
 
 from .allocation import (AllocationError, AllocationProblem, expected_stats, float_array,
                          require_number, solve_allocation)
-from .data import WeeklyPanel, _opened, returns as panel_returns
+from .data import ParseError, WeeklyPanel, _opened, returns as panel_returns
 from .linalg import NotPositiveDefinite, covariance, psd_from_eig, symmetric_eig
 from .solver import SolverOptions
 
@@ -317,23 +317,32 @@ def ledger_to_csv(ledger: BacktestLedger, destination) -> None:
 
 
 def ledger_from_csv(source, strategy: str = "") -> BacktestLedger:
-    """Rebuild a ledger from :func:`ledger_to_csv` output (prices excluded)."""
+    """Rebuild a ledger from :func:`ledger_to_csv` output (prices excluded).
+
+    A malformed row raises :class:`ParseError` with its line number."""
     with _opened(source) as fh:
         header = fh.readline().strip().split(",")
         if header[:2] != ["date", "value"] or header[-4:] != ["leverage", "cost", "turnover", "abstained"]:
-            raise ValueError(f"unrecognized ledger header {header!r}")
+            raise ParseError(f"unrecognized ledger header {header!r}", line=1)
         tickers = tuple(c[2:] for c in header[2:-4])
         dates, weights, values, levs, costs, turns, abst = [], [], [], [], [], [], []
-        for raw in fh:
+        for lineno, raw in enumerate(fh, start=2):
             if not raw.strip():
                 continue
             parts = raw.strip().split(",")
-            dates.append(date.fromisoformat(parts[0]))
-            values.append(float(parts[1]))
-            weights.append([float(v) for v in parts[2 : 2 + len(tickers)]])
-            levs.append(float(parts[-4]))
-            costs.append(float(parts[-3]))
-            turns.append(float(parts[-2]))
+            if len(parts) != len(header):
+                raise ParseError(f"expected {len(header)} columns, got {len(parts)}", line=lineno)
+            if parts[-1] not in ("True", "False"):
+                raise ParseError(f"abstained must be True or False, got {parts[-1]!r}", line=lineno)
+            try:
+                dates.append(date.fromisoformat(parts[0]))
+                values.append(float(parts[1]))
+                weights.append([float(v) for v in parts[2:-4]])
+                levs.append(float(parts[-4]))
+                costs.append(float(parts[-3]))
+                turns.append(float(parts[-2]))
+            except ValueError as exc:
+                raise ParseError(str(exc), line=lineno) from None
             abst.append(parts[-1] == "True")
     return BacktestLedger(
         strategy=strategy,

@@ -254,8 +254,9 @@ class NTScaling:
         """W^{-2} u, as eta^-2 (2 J(v o v) (J(v o v))' - J) u."""
         return self._scale(u, self._jvsq, self.w_inv_sq)
 
-    def gram(self, plan: GramPlan) -> np.ndarray:
-        """Assemble H = G' W^{-2} G for the cone rows G = diag(scale) K[idx].
+    def gram(self, plan: GramPlan) -> tuple[np.ndarray, np.ndarray]:
+        """H = G' W^{-2} G for the cone rows G = diag(scale) K[idx], as the
+        pair (H on ``plan.kept``, its diagonal on ``plan.elim``).
 
         W^{-2} is a positive diagonal D plus, per SecondOrder block, the
         rank-two term ``(4 (v'v) Jv (Jv)' - 2 Jv v' - 2 v (Jv)') / eta^2``.
@@ -265,14 +266,15 @@ class NTScaling:
         rank-two part needs ``a_k = G_k' J v_k`` and ``b_k = G_k' v_k``,
         products of the rows of K that second-order rows copy with
         (those rows) x (blocks) matrices gathered with ``bincount``.
-        No matrix with a row per row of G is formed.
+        No matrix with a row per row of G, or over all columns, is formed.
         """
         st = self.struct
-        n = plan.ncols
+        n = plan.kept.size
         weight = np.bincount(plan.idx, plan.scale_sq * self.w_inv_sq, minlength=plan.nrows)
+        diag = np.bincount(plan.single_pos, weight[plan.single] * plan.single_sq,
+                           minlength=plan.ncols)
         h = np.zeros((n, n))
-        h.flat[:: n + 1] = np.bincount(plan.single_col, weight[plan.single] * plan.single_sq,
-                                       minlength=n)
+        h.flat[:: n + 1] = diag[:n]
         # the weights are nonnegative, so the rows with several entries give
         # one symmetric product of those rows scaled by their roots
         root = plan.multi_k * np.sqrt(weight[plan.multi])[:, None]
@@ -289,25 +291,33 @@ class NTScaling:
             inv_eta2 = self.w_inv_sq[st.soc_starts]
             cross = (amat * inv_eta2) @ bmat.T
             h[plan.soc_ix] += (amat * (4.0 * self.vtv * inv_eta2)) @ amat.T - 2.0 * (cross + cross.T)
-        return 0.5 * (h + h.T)
+        return 0.5 * (h + h.T), diag[n:]
 
 
 class GramPlan:
-    """Where the Gram ``G' W^-2 G`` of cone rows ``G = diag(scale) K[idx]`` has work.
+    """The column partition of a solve, and where the Gram ``G' W^-2 G`` of
+    cone rows ``G = diag(scale) K[idx]`` has work.
 
     Built once per solve from ``g`` (a :class:`riskbudget.solver.RowMatrix`
-    over the cone rows of ``struct``); only the weights change between
-    iterations. A row of K that no cone row copies carries no weight. Of the
-    rest, a row with one nonzero adds a diagonal entry only, and the rows
-    with more add ``K' D K`` on their column support. The rank-two terms
-    reach only the rows of K that second-order rows copy, on those rows'
-    column support. For the allocation program the products stay in the
-    n asset columns and the epigraph column, whatever the number of
-    variables, and the 2n turnover columns after them are ``split:``, the
-    diagonal block that the KKT solve eliminates.
+    over the cone rows of ``struct``) and the equality rows ``aeq``; only
+    the weights change between iterations. A column that only one-entry
+    rows with a nonzero factor reach has a positive Gram diagonal coupled
+    to nothing else. If it also meets at most one equality row, the KKT
+    solve eliminates it (``elim``) with a diagonal Schur term, from the
+    entries ``eq_row``, ``eq_col``, ``eq_sq`` of ``aeq_elim``; the others
+    are ``kept``, and ``pos`` maps each column to its place in (kept,
+    elim) order. On the allocation program with turnover the 2n turnover
+    columns, one turnover row each, are eliminated.
+
+    A row of K that no cone row copies carries no weight. Of the rest, a
+    row with one nonzero adds a diagonal entry only, and the rows with
+    more add ``K' D K`` on their column support. The rank-two terms reach
+    only the rows of K that second-order rows copy, on those rows' column
+    support. Both supports lie in the kept columns: for the allocation
+    program, the n asset columns and the epigraph column.
     """
 
-    def __init__(self, struct: ConeStructure, g):
+    def __init__(self, struct: ConeStructure, g, aeq: np.ndarray):
         kmat, self.idx = g.K, g.idx
         self.nrows, self.ncols = kmat.shape
         self.scale_sq = g.scale * g.scale
@@ -315,32 +325,39 @@ class GramPlan:
         used = np.bincount(self.idx, minlength=self.nrows) > 0
         count = nonzero.sum(axis=1)
         self.single = np.flatnonzero(used & (count == 1))
-        self.single_col = np.nonzero(nonzero[self.single])[1]
-        self.single_sq = kmat[self.single, self.single_col] ** 2
+        single_col = np.nonzero(nonzero[self.single])[1]
+        self.single_sq = kmat[self.single, single_col] ** 2
         self.multi = np.flatnonzero(used & (count > 1))
         multi_cols = np.flatnonzero(nonzero[self.multi].any(axis=0))
         self.multi_k = kmat[np.ix_(self.multi, multi_cols)]
-        self.multi_ix = np.ix_(multi_cols, multi_cols)
-        # rank-two terms: cell (local K row, block) of a_k, then of b_k
         rows = struct.soc_rows
         soc_k = np.flatnonzero(np.bincount(self.idx[rows], minlength=self.nrows))
-        local = np.searchsorted(soc_k, self.idx[rows])
         soc_cols = np.flatnonzero(nonzero[soc_k].any(axis=0))
         self.soc_k = kmat[np.ix_(soc_k, soc_cols)]
-        self.soc_ix = np.ix_(soc_cols, soc_cols)
+
+        carried = np.bincount(self.idx, self.scale_sq, minlength=self.nrows)[self.single] > 0
+        elim = np.zeros(self.ncols, dtype=bool)
+        elim[single_col[carried]] = True
+        elim[multi_cols] = False
+        elim[soc_cols] = False
+        elim &= np.count_nonzero(aeq, axis=0) <= 1
+        self.kept, self.elim = np.flatnonzero(~elim), np.flatnonzero(elim)
+        self.pos = np.empty(self.ncols, dtype=np.intp)
+        self.pos[np.concatenate([self.kept, self.elim])] = np.arange(self.ncols)
+        # ``take`` keeps the blocks row-major: ``aeq[:, cols]`` comes out
+        # column-major, whose products go to another BLAS kernel and round
+        # differently
+        self.aeq_kept, self.aeq_elim = aeq.take(self.kept, axis=1), aeq.take(self.elim, axis=1)
+        self.eq_row, self.eq_col = np.nonzero(self.aeq_elim)
+        self.eq_sq = self.aeq_elim[self.eq_row, self.eq_col] ** 2
+
+        # Gram work, in (kept, elim) order
+        self.single_pos = self.pos[single_col]
+        self.multi_ix = np.ix_(self.pos[multi_cols], self.pos[multi_cols])
+        self.soc_ix = np.ix_(self.pos[soc_cols], self.pos[soc_cols])
+        # rank-two terms: cell (local K row, block) of a_k, then of b_k
+        local = np.searchsorted(soc_k, self.idx[rows])
         k = struct.soc_starts.size
         cell = local * (2 * k) + struct.block[rows]
         self.cell = np.concatenate([cell, cell + k])
         self.soc_scale = g.scale[rows]
-        # a column that single-entry rows reach (with a nonzero factor, so
-        # that its diagonal is positive) and no other row does is a diagonal
-        # block of the Gram with no coupling to the rest; the columns from
-        # ``split`` on are the trailing run of such columns (the allocation
-        # program's turnover split), which the KKT solve eliminates on slices
-        carried = np.bincount(self.idx, self.scale_sq, minlength=self.nrows)[self.single] > 0
-        eliminable = np.zeros(self.ncols, dtype=bool)
-        eliminable[self.single_col[carried]] = True
-        eliminable[multi_cols] = False
-        eliminable[soc_cols] = False
-        kept = np.flatnonzero(~eliminable)
-        self.split = int(kept[-1]) + 1 if kept.size else 0

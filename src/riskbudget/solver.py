@@ -238,38 +238,6 @@ class ConeSolution:
     gap: float
 
 
-class _EqualityRows:
-    """The equality rows ``aeq`` split at the eliminated columns ``split:``.
-
-    Built once per solve. ``schur(delta)`` is ``A_D diag(1/delta) A_D'``
-    for the eliminated block ``A_D``, summed over the pairs of its entries
-    that share a column, found here: the allocation program's turnover
-    columns meet one row each, so the term costs one ``bincount`` of 2n
-    entries and no dense product.
-    """
-
-    def __init__(self, aeq, split):
-        self.aeq, self.split = aeq, split
-        self.aeq_k, self.aeq_d = aeq[:, :split], aeq[:, split:]
-        self.p = p = aeq.shape[0]
-        col, row = np.nonzero(self.aeq_d.T)  # entries, column by column
-        val = self.aeq_d[row, col]
-        # pair each entry with every entry of its column, itself included
-        count = np.bincount(col)[col]
-        left = np.repeat(np.arange(col.size), count)
-        offset = np.arange(left.size) - np.repeat(np.cumsum(count) - count, count)
-        right = np.repeat(np.searchsorted(col, col), count) + offset
-        self.cell = row[left] * p + row[right]
-        self.col = col[left]
-        self.val = val[left] * val[right]
-        # sign of the regularization: + on the kept columns, - on the rows
-        self.sign = np.repeat([1.0, -1.0], [split, p])
-
-    def schur(self, delta):
-        return np.bincount(self.cell, self.val / delta[self.col],
-                           minlength=self.p * self.p).reshape(self.p, self.p)
-
-
 class _KKT:
     """Factored reduced KKT system [[H, Aeq'], [Aeq, 0]] with H = G'W^-2 G.
 
@@ -278,45 +246,48 @@ class _KKT:
     3-block space (W applied functionally) to recover accuracy lost when
     forming H at extreme scalings.
 
-    The columns ``D = split:`` that ``GramPlan`` finds eliminable have a
-    diagonal block ``H_DD`` coupled to nothing else in H, so they are
-    eliminated as well: LU factors only the kept columns and the equality
-    rows, ``[[H_KK + reg, Aeq_K'], [Aeq_K, -reg I - Aeq_D (H_DD + reg)^-1
-    Aeq_D']]``, and ``dx_D = (gx_D - Aeq_D' dy) / (H_DD + reg)``. For the
-    allocation program with turnover the order falls from 4n+2 to 2n+2.
+    The columns D that ``plan`` eliminates have a diagonal block ``H_DD``
+    coupled to nothing else in H, and each meets at most one equality row,
+    so they are eliminated as well: LU factors only the kept columns K and
+    the equality rows, ``[[H_KK + reg, Aeq_K'], [Aeq_K, -reg I - Aeq_D
+    (H_DD + reg)^-1 Aeq_D']]``, whose last term is diagonal, and
+    ``dx_D = (gx_D - Aeq_D' dy) / (H_DD + reg)``. For the allocation
+    program with turnover the order falls from 4n+2 to 2n+2.
     """
 
-    def __init__(self, eq, g, plan, scaling, refine_steps):
-        n = g.shape[1]
-        k, p = eq.split, eq.p
-        h = scaling.gram(plan)
-        reg = REG * max(1.0, float(h.trace()) / max(n, 1))
-        self.delta = h.diagonal()[k:] + reg
-        mreg = np.empty((k + p, k + p))
-        mreg[:k, :k] = h[:k, :k]
-        mreg[:k, k:] = eq.aeq_k.T
-        mreg[k:, :k] = eq.aeq_k
-        mreg[k:, k:] = -eq.schur(self.delta)
-        mreg.flat[:: k + p + 1] += reg * eq.sign
-        self.eq, self.g, self.scaling = eq, g, scaling
+    def __init__(self, plan, aeq, g, scaling, refine_steps):
+        h, h_elim = scaling.gram(plan)
+        k, p = h.shape[0], aeq.shape[0]
+        # the trace of H, summed in column order as ``H.trace()`` would
+        trace = np.concatenate([h.diagonal(), h_elim])[plan.pos].sum()
+        reg = REG * max(1.0, float(trace) / max(plan.ncols, 1))
+        self.delta = h_elim + reg
+        schur = np.bincount(plan.eq_row, plan.eq_sq / self.delta[plan.eq_col], minlength=p)
+        mreg = np.zeros((k + p, k + p))
+        mreg[:k, :k] = h
+        mreg[:k, k:] = plan.aeq_kept.T
+        mreg[k:, :k] = plan.aeq_kept
+        mreg.flat[:: k + p + 1] += np.concatenate([np.full(k, reg), -(schur + reg)])
+        self.plan, self.aeq, self.g, self.scaling = plan, aeq, g, scaling
         self.lu, self.piv = sla.lu_factor(mreg)
         self.refine_steps = refine_steps
 
     def _reduced(self, rho_x, rho_y, rho_3):
-        w, eq, k = self.scaling, self.eq, self.eq.split
+        w, plan = self.scaling, self.plan
         gx = rho_x + self.g.rmatvec(w.apply_inv_sq(rho_3))
-        gd = gx[k:] / self.delta
-        rhs = np.concatenate([gx[:k], rho_y - eq.aeq_d @ gd])
+        gd = gx[plan.elim] / self.delta
+        rhs = np.concatenate([gx[plan.kept], rho_y - plan.aeq_elim @ gd])
         # LAPACK rejects an empty system (a program with no variables)
         u = _GETRS(self.lu, self.piv, rhs)[0] if rhs.size else rhs
+        k = plan.kept.size
         dy = u[k:]
-        dx = np.concatenate([u[:k], gd - (eq.aeq_d.T @ dy) / self.delta])
+        dx = np.concatenate([u[:k], gd - (plan.aeq_elim.T @ dy) / self.delta])[plan.pos]
         dz = w.apply_inv_sq(self.g @ dx - rho_3)
         return dx, dy, dz
 
     def solve3(self, rho_x, rho_y, rho_3):
         dx, dy, dz = self._reduced(rho_x, rho_y, rho_3)
-        w, aeq = self.scaling, self.eq.aeq
+        w, aeq = self.scaling, self.aeq
         base = max(_norm(rho_x), _norm(rho_y), _norm(rho_3), 1e-300)
         for _ in range(self.refine_steps):
             res_x = rho_x - (aeq.T @ dy + self.g.rmatvec(dz))
@@ -369,8 +340,7 @@ def solve(p: ConeProgram, opts: SolverOptions | None = None) -> ConeSolution:
     beq = beq / d_eq
     g = g.divide_rows(d_cone)
     h = h / d_cone
-    plan = GramPlan(struct, g)
-    eq = _EqualityRows(aeq, plan.split)
+    plan = GramPlan(struct, g, aeq)
     norm_beq_orig = 1.0 + np.linalg.norm(beq * d_eq)
     norm_h_orig = 1.0 + np.linalg.norm(h * d_cone)
 
@@ -462,7 +432,7 @@ def solve(p: ConeProgram, opts: SolverOptions | None = None) -> ConeSolution:
         iterations += 1
         try:
             scaling = NTScaling(struct, s, z)
-            kkt = _KKT(eq, g, plan, scaling, refine)
+            kkt = _KKT(plan, aeq, g, scaling, refine)
         except (sla.LinAlgError, FloatingPointError, ValueError):
             break
         lmbda = scaling.lmbda

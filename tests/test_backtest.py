@@ -20,6 +20,7 @@ from riskbudget.backtest import (
 )
 from riskbudget.allocation import InfeasibleAllocation
 from riskbudget.cli import main
+from riskbudget.data import ParseError
 
 from backtest_oracles import (
     FIXTURE_PRICES,
@@ -351,3 +352,14 @@ class TestLedgerCsv:
         assert np.array_equal(back.values, ledger.values)
         assert np.array_equal(back.weights, ledger.weights)
         assert np.array_equal(back.abstained, ledger.abstained)
+
+    @pytest.mark.parametrize("row, message", [
+        ("2021-01-15,1.0,0.5,1.0,0.0,0.0,False", "line 3: expected 8 columns, got 7"),
+        ("2021-01-15,1.0,0.5,0.5,1.0,0.0,0.0,yes", "line 3: abstained must be True or False"),
+        ("2021-01-15,1.0,0.5,x,1.0,0.0,0.0,False", "line 3: could not convert"),
+    ])
+    def test_malformed_row_names_its_line(self, row, message):
+        text = ("date,value,w_A,w_B,leverage,cost,turnover,abstained\n"
+                f"2021-01-08,1.0,0.5,0.5,1.0,0.0,0.0,False\n{row}\n")
+        with pytest.raises(ParseError, match=message):
+            ledger_from_csv(io.StringIO(text))

@@ -241,6 +241,10 @@ def _write(path, text):
     return str(path)
 
 
+# a two-asset ledger with one well-formed row
+LEDGER_HEAD = ("date,value,w_A,w_B,leverage,cost,turnover,abstained\n"
+               "2021-01-08,1.0,0.5,0.5,1.0,0.0,0.0,False\n")
+
 # each command line fails; the backtest ones before any week runs
 FAILURES = {
     "missing prices": lambda tmp: ["backtest", "--prices", str(tmp / "missing.csv"),
@@ -253,6 +257,10 @@ FAILURES = {
                                    _write(tmp / "prices.csv", "date,ticker,close\n"
                                           "2021-01-04,SPY,100\n2021-01-11,AGG,50\n")],
     "bad ledger header": lambda tmp: ["report", _write(tmp / "ledger_X.csv", "not,a,ledger\n1,2,3\n")],
+    "short ledger row": lambda tmp: ["report", _write(tmp / "ledger_X.csv", LEDGER_HEAD
+                                                      + "2021-01-15,1.0,0.5,1.0,0.0,0.0,False\n")],
+    "bad abstained": lambda tmp: ["report", _write(tmp / "ledger_X.csv", LEDGER_HEAD
+                                                   + "2021-01-15,1.0,0.5,0.5,1.0,0.0,0.0,yes\n")],
     "tol 0": lambda tmp: ["solve", "--config", write_problem(tmp, {"cov": [[1.0]], "budgets": [1.0]}),
                           "--tol", "0"],
     "string lambda": lambda tmp: ["solve", "--config", write_problem(

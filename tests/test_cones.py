@@ -97,25 +97,33 @@ def test_w_squared_in_one_vector_form(structs):
 
 
 def test_gram_plan_finds_the_diagonal_columns():
-    # the allocation program's turnover split is the eliminable trailing block
+    # the allocation program's turnover split is eliminated, one turnover
+    # row to each column
     n = 4
     rng = np.random.default_rng(8)
     a = rng.standard_normal((n, n))
-    for mu, eliminable in ((0.001, 2 * n), (0.0, 0)):
+    for mu, eliminated in ((0.001, range(n + 1, 3 * n + 1)), (0.0, [])):
         prog = build_program(AllocationProblem(cov=a @ a.T / n + np.eye(n), budgets=np.full(n, 0.1),
                                                mu=mu))
         struct = prog.structure
-        plan = GramPlan(struct, prog.A.take(struct.cone_rows))
-        assert plan.ncols - plan.split == eliminable
+        plan = GramPlan(struct, prog.A.take(struct.cone_rows), prog.A.take(struct.zero_rows).toarray())
+        assert list(plan.elim) == list(eliminated)
     # one-entry rows only: as nonneg rows every column is eliminable, but
     # once they also feed a second-order block (||x_0:3|| <= x_3) none is
     g = RowMatrix.dense(np.vstack([-np.eye(4), -np.eye(4)[[3, 0, 1, 2]]]))
-    assert GramPlan(ConeStructure([NonNeg(8)]), g).split == 0
-    assert GramPlan(ConeStructure([NonNeg(4), SecondOrder(4)]), g).split == 4
+    no_eq = np.zeros((0, 4))
+    assert GramPlan(ConeStructure([NonNeg(8)]), g, no_eq).elim.size == 4
+    assert GramPlan(ConeStructure([NonNeg(4), SecondOrder(4)]), g, no_eq).elim.size == 0
+    # a column that two equality rows share stays, wherever it lies
+    aeq = np.array([[1.0, 1.0, 0.0, 0.0], [0.0, 2.0, -1.0, 0.0]])
+    plan = GramPlan(ConeStructure([NonNeg(8)]), g, aeq)
+    assert list(plan.kept) == [1] and list(plan.elim) == [0, 2, 3]
+    assert list(plan.eq_row) == [0, 1] and list(plan.eq_col) == [0, 1]
+    assert list(plan.eq_sq) == [1.0, 1.0]
     # a column whose one-entry rows all carry a zero factor has no diagonal
     # to divide by, so it stays
     g = RowMatrix(-np.eye(2), [0, 1], [1.0, 0.0])
-    assert GramPlan(ConeStructure([NonNeg(2)]), g).split == 2
+    assert list(GramPlan(ConeStructure([NonNeg(2)]), g, np.zeros((0, 2))).kept) == [1]
 
 
 def brute_gram(w, g):
@@ -123,15 +131,24 @@ def brute_gram(w, g):
     return dense.T @ np.column_stack([w.apply_inv(w.apply_inv(col)) for col in dense.T])
 
 
+def full_gram(w, plan):
+    """The Gram over all columns, from the kept block and eliminated diagonal."""
+    h, h_elim = w.gram(plan)
+    out = np.zeros((plan.ncols, plan.ncols))
+    out[np.ix_(plan.kept, plan.kept)] = h
+    out[plan.elim, plan.elim] = h_elim
+    return out
+
+
 def test_gram_matches_bruteforce(structs):
     rng = np.random.default_rng(2)
     # K with an all-zero row (0), single-entry rows (1, 2), rows with more
     # entries (3, 5) and a row no cone row copies (4), the only one that
-    # reaches column 0
+    # reaches column 0; only row 2 reaches column 4
     kmat = np.zeros((6, 5))
     kmat[1, 2] = 1.5
     kmat[2, 4] = -0.5
-    kmat[3, 1:] = rng.standard_normal(4)
+    kmat[3, 1:4] = rng.standard_normal(3)
     kmat[4] = rng.standard_normal(5)
     kmat[5, [1, 3]] = rng.standard_normal(2)
     for struct in structs:
@@ -139,18 +156,29 @@ def test_gram_matches_bruteforce(structs):
         z = random_interior(struct, rng)
         w = NTScaling(struct, s, z)
         g = RowMatrix.dense(rng.standard_normal((struct.dim, 5)))
-        assert np.allclose(w.gram(GramPlan(struct, g)), brute_gram(w, g), atol=1e-9)
+        no_eq = np.zeros((0, 5))
+        assert np.allclose(full_gram(w, GramPlan(struct, g, no_eq)), brute_gram(w, g), atol=1e-9)
         # rows stored as scaled copies of a few rows of K give the same answer
         rows = RowMatrix(kmat[:3], rng.integers(0, 3, struct.dim), rng.standard_normal(struct.dim))
-        assert np.allclose(w.gram(GramPlan(struct, rows)), brute_gram(w, rows), atol=1e-9)
-        # every kind of K row on nonneg and second-order rows alike
+        assert np.allclose(full_gram(w, GramPlan(struct, rows, no_eq)), brute_gram(w, rows), atol=1e-9)
+        # every kind of K row on nonneg and second-order rows alike, except
+        # that only nonneg rows copy row 2, so its column 4 is eliminated
         idx = rng.choice([0, 1, 2, 3, 5], struct.dim)
+        idx[struct.soc_rows] = rng.choice([0, 1, 3, 5], struct.soc_rows.size)
         idx[struct.soc_starts] = 1
         idx[struct.nn_idx[:2]] = [2, 5]
         rows = RowMatrix(kmat, idx, rng.standard_normal(struct.dim))
-        h = w.gram(GramPlan(struct, rows))
-        assert np.allclose(h, brute_gram(w, rows), atol=1e-9)
+        plan = GramPlan(struct, rows, no_eq)
+        assert list(plan.elim) == [4]
+        h = full_gram(w, plan)
+        brute = brute_gram(w, rows)
+        assert np.allclose(h, brute, atol=1e-9)
         assert not h[0].any() and not h[:, 0].any()
+        # what the plan leaves out is zero: the eliminated columns meet
+        # nothing off the diagonal
+        off = brute[:, plan.elim].copy()
+        off[plan.elim, np.arange(plan.elim.size)] = 0.0
+        assert not off.any() and not brute[plan.elim][:, plan.kept].any()
 
 
 def test_max_step(structs):

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from allocation_oracle import dense_program
+from test_cones import full_gram
 from riskbudget.allocation import AllocationProblem, build_program
 from riskbudget.cones import ConeStructure, GramPlan, NTScaling, Zero
 from riskbudget.solver import RowMatrix
@@ -87,11 +88,12 @@ def test_gram_matches_dense(problem, seed):
     keep = cone_rows(cones)
     struct = ConeStructure(cones)
     w = NTScaling(struct, interior(struct, rng), interior(struct, rng))
-    h = w.gram(GramPlan(struct, build_program(problem).A.take(keep)))
+    aeq = np.delete(a, keep, axis=0)
+    h = full_gram(w, GramPlan(struct, build_program(problem).A.take(keep), aeq))
     g = a[keep]
     brute = g.T @ np.column_stack([w.apply_inv(w.apply_inv(col)) for col in g.T])
     scale = np.abs(brute).max()
-    assert np.abs(h - w.gram(GramPlan(struct, RowMatrix.dense(g)))).max() <= 1e-12 * scale
+    assert np.abs(h - full_gram(w, GramPlan(struct, RowMatrix.dense(g), aeq))).max() <= 1e-12 * scale
     assert np.abs(h - brute).max() <= 1e-12 * scale
 
 

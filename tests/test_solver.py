@@ -5,6 +5,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from test_cones import random_interior
 
 from riskbudget import solver as solver_module
@@ -303,34 +305,100 @@ def _allocation_program(n, mu, seed):
                                            prev_weights=rng.dirichlet(np.ones(n))))
 
 
-@pytest.mark.parametrize("name,prog,order", [
-    ("allocation with turnover", _allocation_program(5, 0.001, 0), 2 * 5 + 2),
-    ("allocation without turnover", _allocation_program(5, 0.0, 1), 5 + 1 + 1),
-    # every column is eliminated: only the 3 equality rows are factored
-    ("l1 split", {n: p for n, p, _ in battery()}["l1 split"], 3),
-    # an eliminated column that two equality rows share
-    ("shared column", Builder(3).eq([[1.0, 1.0, 0.0], [0.0, 2.0, -1.0]], [1.0, 0.5])
-     .leq(-np.eye(3), np.zeros(3)).program([1.0, 2.0, 3.0]), 2),
-])
-def test_kkt_solve_matches_the_dense_three_block_system(name, prog, order):
+def _kkt(prog, seed=9):
+    """``_KKT`` at a random interior scaling, with the program's cone rows and
+    equality rows, and a random right-hand side."""
     struct = prog.structure
     aeq = prog.A.take(struct.zero_rows).toarray()
     g = prog.A.take(struct.cone_rows)
-    plan = GramPlan(struct, g)
-    rng = np.random.default_rng(9)
+    rng = np.random.default_rng(seed)
     w = NTScaling(struct, random_interior(struct, rng), random_interior(struct, rng))
-    kkt = solver_module._KKT(solver_module._EqualityRows(aeq, plan.split), g, plan, w, 2)
+    kkt = solver_module._KKT(GramPlan(struct, g, aeq), aeq, g, w, 2)
+    rhs = (rng.standard_normal(g.shape[1]), rng.standard_normal(aeq.shape[0]),
+           rng.standard_normal(struct.dim))
+    return kkt, rhs
+
+
+def _check_against_dense(prog, order, seed=9):
+    # solve3 against numpy.linalg.solve of the full 3-block system
+    kkt, rhs = _kkt(prog, seed)
     assert kkt.lu.shape == (order, order)
-    gd = np.asarray(g)
+    struct, w = prog.structure, kkt.scaling
+    aeq, gd = kkt.aeq, np.asarray(kkt.g)
     n, p, m = gd.shape[1], aeq.shape[0], struct.dim
     wsq = np.column_stack([w.apply_sq(col) for col in np.eye(m)])
     full = np.block([[np.zeros((n, n)), aeq.T, gd.T],
                      [aeq, np.zeros((p, p)), np.zeros((p, m))],
                      [gd, np.zeros((m, p)), -wsq]])
-    rhs = rng.standard_normal(n + p + m)
-    got = np.concatenate(kkt.solve3(rhs[:n], rhs[n : n + p], rhs[n + p :]))
-    want = np.linalg.solve(full, rhs)
+    got = np.concatenate(kkt.solve3(*rhs))
+    want = np.linalg.solve(full, np.concatenate(rhs))
     assert np.linalg.norm(got - want) <= 1e-9 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("name,prog,order", [
+    ("allocation with turnover", _allocation_program(5, 0.001, 0), 2 * 5 + 2),
+    ("allocation without turnover", _allocation_program(5, 0.0, 1), 5 + 1 + 1),
+    # every column is eliminated: only the 3 equality rows are factored
+    ("l1 split", {n: p for n, p, _ in battery()}["l1 split"], 3),
+    # the column that two equality rows share stays in the LU, the two
+    # around it are eliminated
+    ("shared column", Builder(3).eq([[1.0, 1.0, 0.0], [0.0, 2.0, -1.0]], [1.0, 0.5])
+     .leq(-np.eye(3), np.zeros(3)).program([1.0, 2.0, 3.0]), 3),
+])
+def test_kkt_solve_matches_the_dense_three_block_system(name, prog, order):
+    _check_against_dense(prog, order)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None, database=None)
+@given(st.integers(1, 3), st.lists(st.integers(0, 2), min_size=1, max_size=5), st.integers(0, 3),
+       st.integers(0, 2**32 - 1))
+def test_reduced_kkt_solve_matches_the_dense_system(dense, meets, p, seed):
+    # ``dense`` columns that multi-entry and second-order rows reach, and
+    # one column per entry of ``meets`` that only one-entry nonneg rows
+    # reach, meeting that many of the ``p`` equality rows; every column
+    # also has a one-entry row with a zero factor. The columns are shuffled,
+    # so the eliminated ones need not trail.
+    rng = np.random.default_rng(seed)
+    n = dense + len(meets)
+    cols = rng.permutation(n)
+    dcols, diag = cols[:dense], cols[dense:]
+    meets = np.minimum(meets, p)
+    # K rows: unit rows, equality rows, dense + 1 nonneg and dense + 1
+    # second-order rows on the dense columns
+    kmat = np.zeros((n + p + 2 * dense + 2, n))
+    kmat[:n] = np.eye(n)
+    kmat[n : n + p, dcols] = rng.standard_normal((p, dense))
+    for j, k in zip(diag, meets):
+        kmat[n + rng.choice(p, k, replace=False), j] = rng.standard_normal(k)
+    kmat[n + p :, dcols] = rng.standard_normal((2 * dense + 2, dense))
+    assume(np.linalg.matrix_rank(kmat[n : n + p]) == p)
+    idx = np.concatenate([n + np.arange(p), diag, np.arange(n), n + p + np.arange(2 * dense + 2)])
+    scale = np.concatenate([np.ones(p), rng.uniform(0.5, 2.0, diag.size), np.zeros(n),
+                            np.ones(2 * dense + 2)])
+    cones = [NonNeg(diag.size + n + dense + 1), SecondOrder(dense + 1)]
+    if p:
+        cones.insert(0, Zero(p))
+    prog = ConeProgram(c=np.zeros(n), A=RowMatrix(kmat, idx, scale), b=np.zeros(idx.size),
+                       cones=cones)
+    _check_against_dense(prog, dense + int(np.sum(meets == 2)) + p, seed)
+
+
+def test_refinement_keeps_the_first_pass_when_a_correction_is_not_finite(monkeypatch):
+    kkt, rhs = _kkt(_allocation_program(5, 0.001, 0))
+    first = kkt._reduced(*rhs)
+    passes = []
+    reduced = solver_module._KKT._reduced
+
+    def poisoned(self, *rho):
+        out = reduced(self, *rho)
+        passes.append(out)
+        return out if len(passes) == 1 else (np.full_like(out[0], np.nan), *out[1:])
+
+    monkeypatch.setattr(solver_module._KKT, "_reduced", poisoned)
+    got = kkt.solve3(*rhs)
+    # the first pass and one correction, which the guard drops
+    assert len(passes) == 2
+    assert all(np.array_equal(a, b) for a, b in zip(got, first))
 
 
 # an MRB week of a seeded 16-asset backtest (lambda 1, mu 0.001) whose
