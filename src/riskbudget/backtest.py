@@ -319,7 +319,8 @@ def ledger_to_csv(ledger: BacktestLedger, destination) -> None:
 def ledger_from_csv(source, strategy: str = "") -> BacktestLedger:
     """Rebuild a ledger from :func:`ledger_to_csv` output (prices excluded).
 
-    A malformed row raises :class:`ParseError` with its line number."""
+    A malformed row, or a date not later than the row before it, raises
+    :class:`ParseError` with its line number; so does a ledger without rows."""
     with _opened(source) as fh:
         header = fh.readline().strip().split(",")
         if header[:2] != ["date", "value"] or header[-4:] != ["leverage", "cost", "turnover", "abstained"]:
@@ -335,7 +336,7 @@ def ledger_from_csv(source, strategy: str = "") -> BacktestLedger:
             if parts[-1] not in ("True", "False"):
                 raise ParseError(f"abstained must be True or False, got {parts[-1]!r}", line=lineno)
             try:
-                dates.append(date.fromisoformat(parts[0]))
+                day = date.fromisoformat(parts[0])
                 values.append(float(parts[1]))
                 weights.append([float(v) for v in parts[2:-4]])
                 levs.append(float(parts[-4]))
@@ -343,7 +344,12 @@ def ledger_from_csv(source, strategy: str = "") -> BacktestLedger:
                 turns.append(float(parts[-2]))
             except ValueError as exc:
                 raise ParseError(str(exc), line=lineno) from None
+            if dates and day <= dates[-1]:
+                raise ParseError(f"date {day} is not later than {dates[-1]}", line=lineno)
+            dates.append(day)
             abst.append(parts[-1] == "True")
+    if not dates:
+        raise ParseError("ledger has no rows")
     return BacktestLedger(
         strategy=strategy,
         tickers=tickers,

@@ -55,7 +55,10 @@ class ConeStructure:
     quantities are segmented sums over the whole vector
     (``np.add.reduceat`` at the block starts) with 0/1 and sign masks that
     vanish off the second-order rows, so no operation loops over blocks in
-    Python.
+    Python. Each segment sums its own block's rows only, so a structure
+    over the blocks listed twice gives, on ``[s; z]``, bit for bit the
+    per-block values, step lengths and margins of ``s`` and ``z`` taken one
+    at a time.
     """
 
     def __init__(self, blocks):
@@ -75,7 +78,13 @@ class ConeStructure:
         is_soc = kinds[kinds != 0] == 2
         soc_dims = cone_dims[is_soc]
         self.soc_starts = (np.cumsum(cone_dims) - cone_dims)[is_soc]
-        self.soc_slices = list(zip(self.soc_starts.tolist(), (self.soc_starts + soc_dims).tolist()))
+        ends = self.soc_starts + soc_dims
+        self.soc_slices = list(zip(self.soc_starts.tolist(), ends.tolist()))
+        # reduceat sums from one index to the next: a block that other rows
+        # follow gets a cut at its end, so its sum holds its own rows only
+        gaps = np.setdiff1d(ends, np.append(self.soc_starts, pos))
+        self._cuts = np.union1d(self.soc_starts, gaps)
+        self._picks = np.searchsorted(self._cuts, self.soc_starts) if gaps.size else None
         # barrier degree: 1 per nonneg component, 1 per second-order block
         self.degree = self.nn_idx.size + self.soc_starts.size
 
@@ -100,7 +109,8 @@ class ConeStructure:
 
     def blocksum(self, u: np.ndarray) -> np.ndarray:
         """Per second-order block sums of ``u``, which vanishes off those rows."""
-        return np.add.reduceat(u, self.soc_starts)
+        sums = np.add.reduceat(u, self._cuts)
+        return sums if self._picks is None else sums[self._picks]
 
     def jdot(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         """Per second-order block ``u0 v0 - u1'v1``."""
@@ -147,8 +157,9 @@ class ConeStructure:
             out[self.soc_starts] = w0
         return out
 
-    def max_step(self, u: np.ndarray, du: np.ndarray) -> float:
-        """Largest alpha >= 0 with u + alpha*du in the cone (u interior)."""
+    def max_step(self, u: np.ndarray, du: np.ndarray, uu: np.ndarray | None = None) -> float:
+        """Largest alpha >= 0 with u + alpha*du in the cone (u interior);
+        ``uu`` is ``jdot(u, u)`` when the caller has it already."""
         alpha = np.inf
         if self.nn_idx.size:
             un, dn = u[self.nn_idx], du[self.nn_idx]
@@ -157,7 +168,7 @@ class ConeStructure:
                 alpha = min(alpha, float((-un[neg] / dn[neg]).min()))
         if self.soc_starts.size:
             alpha = min(alpha, _soc_max_step(self.jdot(du, du), 2.0 * self.jdot(u, du),
-                                             self.jdot(u, u)))
+                                             self.jdot(u, u) if uu is None else uu))
         return alpha
 
 
@@ -191,9 +202,13 @@ class NTScaling:
     W^2 = eta^2 (2 (v o v)(v o v)' - J) and, with (v o v)^-1 = J(v o v),
     W^-2 = eta^-2 (2 J(v o v) (J(v o v))' - J): the same one-vector form as
     W, from the Jordan square ``vsq`` stored once per scaling.
+
+    ``dets``, when given, holds the block determinants ``jdot(s, s)`` then
+    ``jdot(z, z)``, as the solver's one pass over ``[s; z]`` computes them.
     """
 
-    def __init__(self, struct: ConeStructure, s: np.ndarray, z: np.ndarray):
+    def __init__(self, struct: ConeStructure, s: np.ndarray, z: np.ndarray,
+                 dets: np.ndarray | None = None):
         self.struct = struct
         self.eta = np.zeros(struct.soc_starts.size)
         self.vtv = np.zeros(struct.soc_starts.size)
@@ -201,8 +216,10 @@ class NTScaling:
         self.vsq = np.zeros(struct.dim)  # the Jordan square v o v, likewise
         if struct.soc_starts.size:
             blk, starts = struct.block, struct.soc_starts
-            ds = np.sqrt(struct.jdot(s, s))
-            dz = np.sqrt(struct.jdot(z, z))
+            if dets is None:
+                dets = np.concatenate([struct.jdot(s, s), struct.jdot(z, z)])
+            roots = np.sqrt(dets)
+            ds, dz = roots[: starts.size], roots[starts.size :]
             sb = s / ds[blk]
             zb = z / dz[blk]
             gamma = np.sqrt(0.5 * (1.0 + sb[starts] * zb[starts] + struct.tail_dot(sb, zb)))

@@ -58,6 +58,8 @@ log = logging.getLogger("riskbudget.solver")
 STEP_BACKOFF = 0.99
 # iterative-refinement passes per KKT solve once the barrier is small
 REFINE_STEPS = 2
+# refinement starts once mu falls to this multiple of the tolerance
+REFINE_MU = 1e3
 # diagonal regularization of the KKT matrix, in units of max(1, mean diagonal of H)
 REG = 1e-11
 # error below which polish stops even while it still falls: a hundred
@@ -282,21 +284,23 @@ class _KKT:
         k = plan.kept.size
         dy = u[k:]
         dx = np.concatenate([u[:k], gd - (plan.aeq_elim.T @ dy) / self.delta])[plan.pos]
-        dz = w.apply_inv_sq(self.g @ dx - rho_3)
-        return dx, dy, dz
+        gdx = self.g @ dx
+        dz = w.apply_inv_sq(gdx - rho_3)
+        return dx, dy, dz, gdx
 
     def solve3(self, rho_x, rho_y, rho_3):
-        dx, dy, dz = self._reduced(rho_x, rho_y, rho_3)
+        dx, dy, dz, gdx = self._reduced(rho_x, rho_y, rho_3)
         w, aeq = self.scaling, self.aeq
         base = max(_norm(rho_x), _norm(rho_y), _norm(rho_3), 1e-300)
-        for _ in range(self.refine_steps):
+        for step in range(self.refine_steps):
             res_x = rho_x - (aeq.T @ dy + self.g.rmatvec(dz))
             res_y = rho_y - aeq @ dx
-            res_3 = rho_3 - (self.g @ dx - w.apply_sq(dz))
+            # the first pass's ``dx`` is the one ``_reduced`` multiplied
+            res_3 = rho_3 - ((gdx if step == 0 else self.g @ dx) - w.apply_sq(dz))
             rnorm = max(_norm(res_x), _norm(res_y), _norm(res_3))
             if rnorm <= 1e-14 * base:
                 break
-            ex, ey, ez = self._reduced(res_x, res_y, res_3)
+            ex, ey, ez, _ = self._reduced(res_x, res_y, res_3)
             if not (np.isfinite(ex).all() and np.isfinite(ey).all() and np.isfinite(ez).all()):
                 break
             dx, dy, dz = dx + ex, dy + ey, dz + ez
@@ -346,11 +350,15 @@ def solve(p: ConeProgram, opts: SolverOptions | None = None) -> ConeSolution:
 
     e = struct.identity()
     deg = max(struct.degree, 1)
+    # s and z are stepped as one vector [s; z] over the cone blocks listed
+    # twice: one segmented pass gives both vectors' block determinants,
+    # step lengths and margins
+    pair = ConeStructure([blk for blk in p.cones if not isinstance(blk, Zero)] * 2)
 
     x = np.zeros(n)
     y = np.zeros(aeq.shape[0])
-    z = e.copy()
-    s = e.copy()
+    sz = np.concatenate([e, e])
+    s, z = sz[:m], sz[m:]
     tau, kappa = 1.0, 1.0
 
     norm_c = 1.0 + np.linalg.norm(c)
@@ -426,12 +434,14 @@ def solve(p: ConeProgram, opts: SolverOptions | None = None) -> ConeSolution:
             break
 
         mu = (s @ z + tau * kappa) / (deg + 1)
-        # refinement earns its cost only once the barrier is small and the
-        # scaled system turns ill-conditioned (mu starts near 1 cold)
-        refine = REFINE_STEPS if mu <= 1e-2 else 0
+        # refinement earns its cost only near the tolerance: the error of
+        # forming H grows as the barrier closes, and until mu is within
+        # REFINE_MU of tol the first pass leaves a KKT residual far below it
+        refine = REFINE_STEPS if mu <= REFINE_MU * opts.tol else 0
+        dets = pair.jdot(sz, sz)
         iterations += 1
         try:
-            scaling = NTScaling(struct, s, z)
+            scaling = NTScaling(struct, s, z, dets)
             kkt = _KKT(plan, aeq, g, scaling, refine)
         except (sla.LinAlgError, FloatingPointError, ValueError):
             break
@@ -460,7 +470,7 @@ def solve(p: ConeProgram, opts: SolverOptions | None = None) -> ConeSolution:
             return dx, dy, dz, ds, dtau, dkappa
 
         def max_step(dz, ds, dtau, dkappa):
-            alpha = min(struct.max_step(s, ds), struct.max_step(z, dz))
+            alpha = pair.max_step(sz, np.concatenate([ds, dz]), dets)
             if dtau < 0:
                 alpha = min(alpha, -tau / dtau)
             if dkappa < 0:
@@ -496,7 +506,7 @@ def solve(p: ConeProgram, opts: SolverOptions | None = None) -> ConeSolution:
         s += alpha * ds
         tau += alpha * dtau
         kappa += alpha * dkappa
-        if tau <= 0 or kappa <= 0 or struct.margin(s) <= 0 or struct.margin(z) <= 0:
+        if tau <= 0 or kappa <= 0 or pair.margin(sz) <= 0:
             break
 
     xt, yt, zt, st, pres, dres, relgap, pobj = best

@@ -357,9 +357,15 @@ class TestLedgerCsv:
         ("2021-01-15,1.0,0.5,1.0,0.0,0.0,False", "line 3: expected 8 columns, got 7"),
         ("2021-01-15,1.0,0.5,0.5,1.0,0.0,0.0,yes", "line 3: abstained must be True or False"),
         ("2021-01-15,1.0,0.5,x,1.0,0.0,0.0,False", "line 3: could not convert"),
+        ("2021-01-08,1.0,0.5,0.5,1.0,0.0,0.0,False", "line 3: date 2021-01-08 is not later than 2021-01-08"),
+        ("2021-01-01,1.0,0.5,0.5,1.0,0.0,0.0,False", "line 3: date 2021-01-01 is not later than 2021-01-08"),
     ])
     def test_malformed_row_names_its_line(self, row, message):
         text = ("date,value,w_A,w_B,leverage,cost,turnover,abstained\n"
                 f"2021-01-08,1.0,0.5,0.5,1.0,0.0,0.0,False\n{row}\n")
         with pytest.raises(ParseError, match=message):
             ledger_from_csv(io.StringIO(text))
+
+    def test_ledger_without_rows_says_so(self):
+        with pytest.raises(ParseError, match="^ledger has no rows$"):
+            ledger_from_csv(io.StringIO("date,value,w_A,w_B,leverage,cost,turnover,abstained\n\n"))

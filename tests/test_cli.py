@@ -261,6 +261,9 @@ FAILURES = {
                                                       + "2021-01-15,1.0,0.5,1.0,0.0,0.0,False\n")],
     "bad abstained": lambda tmp: ["report", _write(tmp / "ledger_X.csv", LEDGER_HEAD
                                                    + "2021-01-15,1.0,0.5,0.5,1.0,0.0,0.0,yes\n")],
+    "repeated ledger date": lambda tmp: ["report", _write(tmp / "ledger_X.csv", LEDGER_HEAD
+                                                          + "2021-01-08,1.1,0.5,0.5,1.0,0.0,0.0,False\n")],
+    "empty ledger": lambda tmp: ["report", _write(tmp / "ledger_X.csv", LEDGER_HEAD.splitlines()[0] + "\n")],
     "tol 0": lambda tmp: ["solve", "--config", write_problem(tmp, {"cov": [[1.0]], "budgets": [1.0]}),
                           "--tol", "0"],
     "string lambda": lambda tmp: ["solve", "--config", write_problem(

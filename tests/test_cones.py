@@ -202,6 +202,40 @@ def test_max_step_pure_nonneg():
     assert struct.max_step(u, np.ones(3)) == np.inf
 
 
+# the solver's one pass over [s; z]; the long blocks beside nonneg rows
+# give segments of eight or more terms, where numpy's pairwise summation
+# would round a block's sum differently if the rows after it joined it
+PAIR_LAYOUTS = LAYOUTS + [
+    [NonNeg(9), SecondOrder(12), SecondOrder(12)],
+    [SecondOrder(12), NonNeg(10)],
+    [NonNeg(4)],
+]
+
+
+@pytest.mark.parametrize("blocks", PAIR_LAYOUTS)
+def test_pair_pass_equals_the_per_vector_calls(blocks):
+    struct = ConeStructure(blocks)
+    pair = ConeStructure([blk for blk in blocks if not isinstance(blk, Zero)] * 2)
+    rng = np.random.default_rng(11)
+    for _ in range(40):
+        s = random_interior(struct, rng, scale=rng.uniform(0.1, 10))
+        z = random_interior(struct, rng, scale=rng.uniform(0.1, 10))
+        ds, dz = rng.standard_normal(struct.dim), rng.standard_normal(struct.dim)
+        sz, dsz = np.concatenate([s, z]), np.concatenate([ds, dz])
+        dets = pair.jdot(sz, sz)
+        assert np.array_equal(dets, np.concatenate([struct.jdot(s, s), struct.jdot(z, z)]))
+        for step in (dsz, -dsz, 1e-3 * dsz):
+            want = min(struct.max_step(s, step[: struct.dim]), struct.max_step(z, step[struct.dim :]))
+            assert pair.max_step(sz, step) == want
+            assert pair.max_step(sz, step, dets) == want
+        # margins of interior points and of points past the boundary
+        for u in (sz, dsz):
+            assert pair.margin(u) == min(struct.margin(u[: struct.dim]), struct.margin(u[struct.dim :]))
+        shared, own = NTScaling(struct, s, z, dets), NTScaling(struct, s, z)
+        for name in ("eta", "vtv", "v_all", "vsq", "w", "lmbda"):
+            assert np.array_equal(getattr(shared, name), getattr(own, name)), name
+
+
 # Per-block loop versions of the cone primitives, the reference for the
 # segmented reductions in ConeStructure and NTScaling
 
