@@ -27,11 +27,10 @@ panel = to_weekly(daily)
 print(f"panel: {panel.n_assets} assets x {panel.n_periods} weeks "
       f"({panel.dates[0]} .. {panel.dates[-1]})\n")
 
-ledgers = {}
-for strategy in ("CRB", "CRB_SMART", "MRB", "MRBA", "MRBAL"):
-    cfg = BacktestConfig(strategy=strategy, budgets="half_norm_cum_return",
-                         lam=1.0, mu=0.001)
-    ledgers[strategy] = run(panel, cfg)
+# one call runs all five; MRB, MRBA and MRBAL share each week's covariance and solves
+ledgers = run(panel, [BacktestConfig(strategy=strategy, budgets="half_norm_cum_return",
+                                     lam=1.0, mu=0.001)
+                      for strategy in ("CRB", "CRB_SMART", "MRB", "MRBA", "MRBAL")])
 
 print("final value of 1.0 invested (net of 10bp costs):")
 for name, ledger in ledgers.items():

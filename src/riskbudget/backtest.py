@@ -7,6 +7,10 @@ MRBA (MRB plus liquidation whenever the forecast portfolio return is
 negative), and MRBAL (MRBA levered by the ratio of the benchmark's
 ex-ante volatility to the optimized portfolio's, capped).
 
+The strategies that read a covariance walk the weeks together: each week
+prepares the covariance once, just before the first of them, and those
+whose allocation problems coincide share one solve.
+
 Timing discipline: the decision for the fill at week ``t`` sees prices
 only through week ``t-1`` - covariance from all weekly returns realized by
 then (expanding window), forecast equal to the return over week ``t-1``,
@@ -19,7 +23,8 @@ at zero rate (documented simplification).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Sequence
+from dataclasses import dataclass, field
 from datetime import date
 
 import numpy as np
@@ -47,6 +52,8 @@ __all__ = [
 ]
 
 STRATEGIES = ("CRB", "CRB_SMART", "MRB", "MRBA", "MRBAL")
+# the benchmarks, which read no covariance and solve nothing
+BENCHMARKS = ("CRB", "CRB_SMART")
 HALF_NORM_CUM_RETURN = "half_norm_cum_return"
 
 # first tradeable index: one week for the momentum forecast plus two
@@ -101,7 +108,7 @@ class BacktestConfig:
             self.budgets = b = float_array("budgets", self.budgets).ravel()
             if not np.isfinite(b).all() or np.any(b < 0) or b.sum() > 1.0 + 1e-12:
                 raise ValueError("budgets must be finite, nonnegative and sum to at most 1")
-        if self.strategy not in ("CRB", "CRB_SMART") and self.budgets is None:
+        if self.strategy not in BENCHMARKS and self.budgets is None:
             raise ValueError(f"{self.strategy} requires budgets (vector or "
                              f"{HALF_NORM_CUM_RETURN!r})")
 
@@ -111,6 +118,9 @@ class EngineState:
     """Decision inputs for one rebalance, all measured strictly pre-fill.
 
     ``cov`` is None for the CRB benchmarks, which do not read it.
+    ``solves`` is the week's table of allocation solves, shared by the
+    strategies of the week: each problem maps to its weights, or to the
+    error its solve raised.
     """
 
     cov: np.ndarray | None
@@ -118,6 +128,7 @@ class EngineState:
     cum_returns: np.ndarray
     prev_weights: np.ndarray
     tickers: tuple[str, ...]
+    solves: dict = field(default_factory=dict, repr=False)
 
 
 @dataclass
@@ -186,14 +197,18 @@ def strategy_weights(t: int, state: EngineState, cfg: BacktestConfig) -> tuple[n
     """Target weights and applied leverage for the fill at index ``t``.
 
     Abstention is reported as all-zero weights with leverage 0. Solver
-    errors propagate; the engine converts them to abstained periods.
+    errors propagate; the engine converts them to abstained periods. A
+    problem already in ``state.solves`` is not solved again, and MRBA and
+    MRBAL liquidate without a solve when every forecast is negative, since
+    then ``forecast @ x < 0`` for every x >= 0 with sum(x) = 1.
     """
     n = len(state.tickers)
-    equal = np.full(n, 1.0 / n)
     if cfg.strategy == "CRB":
-        return equal, 1.0
+        return np.full(n, 1.0 / n), 1.0
     if cfg.strategy == "CRB_SMART":
         return benchmark_crb_smart(state.cum_returns), 1.0
+    if cfg.strategy != "MRB" and state.forecast.max() < 0.0:
+        return np.zeros(n), 0.0
 
     if isinstance(cfg.budgets, str):
         budgets = budget_rule_half_norm(state.cum_returns)
@@ -208,7 +223,17 @@ def strategy_weights(t: int, state: EngineState, cfg: BacktestConfig) -> tuple[n
         prev_weights=state.prev_weights,
         assets=state.tickers,
     )
-    x = solve_allocation(problem, cfg.solver_options).weights
+    # the week fixes the covariance (given psd_eps) and the forecasts
+    key = (state.prev_weights.tobytes(), budgets.tobytes(), cfg.lam, cfg.mu, cfg.psd_eps,
+           cfg.solver_options)
+    if key not in state.solves:
+        try:
+            state.solves[key] = solve_allocation(problem, cfg.solver_options).weights
+        except (AllocationError, NotPositiveDefinite) as exc:
+            state.solves[key] = exc
+    x = state.solves[key]
+    if isinstance(x, Exception):
+        raise x
     if cfg.strategy == "MRB":
         return x, 1.0
 
@@ -217,88 +242,113 @@ def strategy_weights(t: int, state: EngineState, cfg: BacktestConfig) -> tuple[n
     if cfg.strategy == "MRBA":
         return x, 1.0
 
-    sd_crb = expected_stats(problem, equal)[1]
+    sd_crb = expected_stats(problem, np.full(n, 1.0 / n))[1]
     sd_mrb = expected_stats(problem, x)[1]
     lev = min(cfg.leverage_cap, sd_crb / sd_mrb) if sd_mrb > 0 else 1.0
     return lev * x, lev
 
 
-def check_panel(panel: WeeklyPanel, cfg: BacktestConfig) -> None:
-    """Raise ``ValueError`` unless ``cfg`` runs on ``panel``: a first decision, one budget per asset."""
+def check_panel(panel: WeeklyPanel, configs: Sequence[BacktestConfig]) -> None:
+    """Raise ``ValueError`` unless ``configs`` run on ``panel``: a first
+    decision, one budget per asset, and no strategy listed twice."""
     if panel.n_periods < FIRST_DECISION + 1:
         raise ValueError(f"panel must cover at least {FIRST_DECISION + 1} weekly prices "
                          f"({FIRST_DECISION} return periods), got {panel.n_periods}")
-    if isinstance(cfg.budgets, np.ndarray) and cfg.budgets.size != panel.n_assets:
-        raise ValueError(f"budgets has {cfg.budgets.size} entries, but the panel has "
-                         f"{panel.n_assets} assets")
+    seen = set()
+    for cfg in configs:
+        if cfg.strategy in seen:
+            raise ValueError(f"strategy {cfg.strategy} is listed twice")
+        seen.add(cfg.strategy)
+        if isinstance(cfg.budgets, np.ndarray) and cfg.budgets.size != panel.n_assets:
+            raise ValueError(f"budgets has {cfg.budgets.size} entries, but the panel has "
+                             f"{panel.n_assets} assets")
 
 
-def run(panel: WeeklyPanel, cfg: BacktestConfig) -> BacktestLedger:
-    """Simulate one strategy over the panel; deterministic.
+def run(panel: WeeklyPanel, configs: BacktestConfig | Sequence[BacktestConfig]
+        ) -> BacktestLedger | dict[str, BacktestLedger]:
+    """Simulate the strategies of ``configs`` over the panel; deterministic.
 
-    The ledger covers fills from the first index with enough history
-    (index 3: one week for the momentum forecast, two realized returns
-    for the covariance). Infeasible or failed optimizations abstain for
-    that period and carry a diagnostic note.
+    Returns their ledgers keyed by strategy, in ``configs`` order, or given
+    one config rather than a sequence, its ledger alone. A ledger covers
+    fills from the first index with enough history (index 3: one week for
+    the momentum forecast, two realized returns for the covariance). Infeasible or failed optimizations abstain for that
+    period and carry a diagnostic note.
+
+    The strategies that read a covariance walk the weeks in lockstep and
+    share each week's covariance and solves. The CRB benchmarks share
+    nothing with them and walk apart: wedged between solves, their
+    microsecond decisions would run from cold caches.
     """
-    check_panel(panel, cfg)
+    single = isinstance(configs, BacktestConfig)
+    if single:
+        configs = [configs]
+    check_panel(panel, configs)
     rets = panel_returns(panel)
-    n = panel.n_assets
+    ledgers = {}
+    for group in ([cfg for cfg in configs if cfg.strategy in BENCHMARKS],
+                  [cfg for cfg in configs if cfg.strategy not in BENCHMARKS]):
+        if group:
+            ledgers.update(_walk(panel, rets, group))
+    if single:
+        return ledgers[configs[0].strategy]
+    return {cfg.strategy: ledgers[cfg.strategy] for cfg in configs}
 
-    dates, weights_rows, fills, values, levs, costs, turns, abst, notes = \
-        [], [], [], [], [], [], [], [], []
-    prev_w = np.zeros(n)
-    value = 1.0
-    # the CRB benchmarks never read a covariance
-    solving = cfg.strategy not in ("CRB", "CRB_SMART")
+
+def _walk(panel: WeeklyPanel, rets: np.ndarray,
+          configs: list[BacktestConfig]) -> dict[str, BacktestLedger]:
+    """One pass over the weeks for ``configs``, in lockstep."""
+    n = panel.n_assets
+    # per strategy: holdings after the last fill, value, and ledger rows
+    # (target, value, leverage, cost, turnover, note)
+    prev = [np.zeros(n) for _ in configs]
+    value = [1.0] * len(configs)
+    rows = [[] for _ in configs]
+    solves = {}
     for t in range(FIRST_DECISION, panel.n_periods):
         week_ret = rets[t - 1]
-        growth = 1.0 + float(prev_w @ week_ret)
-        value *= growth
-        drifted = prev_w * (1.0 + week_ret) / growth if growth > 0 else np.zeros(n)
+        cum_returns = panel.prices[t - 1] / panel.prices[0] - 1.0
+        covs = {}  # psd_eps -> the week's prepared covariance
+        for i, cfg in enumerate(configs):
+            growth = 1.0 + float(prev[i] @ week_ret)
+            value[i] *= growth
+            drifted = prev[i] * (1.0 + week_ret) / growth if growth > 0 else np.zeros(n)
 
-        state = EngineState(
-            cov=prepare_covariance(rets[: t - 1], cfg.psd_eps) if solving else None,
-            forecast=rets[t - 2],
-            cum_returns=panel.prices[t - 1] / panel.prices[0] - 1.0,
-            prev_weights=drifted,
+            if cfg.strategy not in BENCHMARKS and cfg.psd_eps not in covs:
+                covs[cfg.psd_eps] = prepare_covariance(rets[: t - 1], cfg.psd_eps)
+            state = EngineState(cov=covs.get(cfg.psd_eps), forecast=rets[t - 2],
+                                cum_returns=cum_returns, prev_weights=drifted,
+                                tickers=panel.tickers, solves=solves)
+            note = ""
+            try:
+                target, lev = strategy_weights(t, state, cfg)
+            except (AllocationError, NotPositiveDefinite) as exc:
+                target, lev = np.zeros(n), 0.0
+                note = f"abstained: {exc}"
+
+            turnover = float(np.abs(target - drifted).sum())
+            cost = cfg.mu * turnover * value[i]
+            value[i] -= cost
+            rows[i].append((target, value[i], lev if np.any(target) else 0.0, cost, turnover, note))
+            prev[i] = target
+        solves.clear()
+
+    ledgers = {}
+    for cfg, book in zip(configs, rows):
+        targets, values, levs, costs, turns, notes = zip(*book)
+        ledgers[cfg.strategy] = BacktestLedger(
+            strategy=cfg.strategy,
             tickers=panel.tickers,
+            dates=tuple(panel.dates[FIRST_DECISION:]),
+            weights=np.array(targets),
+            fill_prices=panel.prices[FIRST_DECISION:].copy(),
+            values=np.array(values),
+            leverage=np.array(levs),
+            costs=np.array(costs),
+            turnover=np.array(turns),
+            abstained=np.array([not np.any(w) for w in targets], dtype=bool),
+            notes=notes,
         )
-        note = ""
-        try:
-            target, lev = strategy_weights(t, state, cfg)
-        except (AllocationError, NotPositiveDefinite) as exc:
-            target, lev = np.zeros(n), 0.0
-            note = f"abstained: {exc}"
-
-        turnover = float(np.abs(target - drifted).sum())
-        cost = cfg.mu * turnover * value
-        value -= cost
-
-        dates.append(panel.dates[t])
-        weights_rows.append(target)
-        fills.append(panel.prices[t])
-        values.append(value)
-        levs.append(lev if np.any(target) else 0.0)
-        costs.append(cost)
-        turns.append(turnover)
-        abst.append(not np.any(target))
-        notes.append(note)
-        prev_w = target
-
-    return BacktestLedger(
-        strategy=cfg.strategy,
-        tickers=panel.tickers,
-        dates=tuple(dates),
-        weights=np.array(weights_rows),
-        fill_prices=np.array(fills),
-        values=np.array(values),
-        leverage=np.array(levs),
-        costs=np.array(costs),
-        turnover=np.array(turns),
-        abstained=np.array(abst, dtype=bool),
-        notes=tuple(notes),
-    )
+    return ledgers
 
 
 def ledger_to_csv(ledger: BacktestLedger, destination) -> None:

@@ -14,13 +14,19 @@ Subcommands:
 [--strategies CRB,MRB,...] [--tol T] [--max-iters K]``
     Run the configured strategies over a daily prices CSV and write one
     ledger CSV per strategy, summary/drawdown tables (CSV and aligned
-    text), and a reproducibility manifest with input hashes. A config key
-    left out takes the :class:`BacktestConfig` default; a bad or unknown
-    one exits 1 before any week runs or the output directory is made.
+    text), and a reproducibility manifest with input hashes. The MRB
+    strategies walk the weeks together and share each week's covariance
+    and solves (:func:`riskbudget.backtest.run`). A config key left out
+    takes the :class:`BacktestConfig` default; a bad or unknown one, a
+    strategy listed twice (``CRB,crb`` counts, since names are normalized)
+    or a negative ``--top`` exits 1 before any week runs or the output
+    directory is made.
 
 ``riskbudget report LEDGER.csv [LEDGER.csv ...] [--top K] [--out-dir DIR]``
     Print the top-k drawdown table (one column per strategy) and summary
-    statistics for previously written ledgers.
+    statistics for previously written ledgers. The strategy is the file
+    name without ``ledger_`` and ``.csv``; two ledgers of one strategy, or
+    a negative ``--top``, exit 1.
 
 Errors have one path: they leave the command and :func:`main` prints one
 ``error: <message>`` line to stderr and exits 1. The one exception a
@@ -103,6 +109,11 @@ def _solver_options(args, default: SolverOptions) -> SolverOptions:
     return dataclasses.replace(default, **{k: v for k, v in given.items() if v is not None})
 
 
+def _check_top(top: int) -> None:
+    if top < 0:
+        raise ValueError(f"--top must be >= 0, got {top}")
+
+
 def _write_tables(ledgers, top: int, out_dir: str | None, text_files: bool) -> str:
     """Summary and top-``top`` drawdown tables of ``ledgers``.
 
@@ -181,6 +192,7 @@ def _parse_backtest_config(path: str):
 
 
 def cmd_backtest(args) -> int:
+    _check_top(args.top)
     panel = to_weekly(load_csv(args.prices))
     config_doc, cfg_kwargs = _parse_backtest_config(args.config)
     names = args.strategies.split(",") if args.strategies else config_doc.get("strategies", STRATEGIES)
@@ -189,9 +201,8 @@ def cmd_backtest(args) -> int:
     solver_opts = _solver_options(args, DEFAULT_SOLVER_OPTIONS)
     # every config is built and checked against the panel before any week runs
     configs = [BacktestConfig(strategy=s, solver_options=solver_opts, **cfg_kwargs) for s in names]
-    for cfg in configs:
-        check_panel(panel, cfg)
-    ledgers = {cfg.strategy: run(panel, cfg) for cfg in configs}
+    check_panel(panel, configs)
+    ledgers = run(panel, configs)
 
     os.makedirs(args.out_dir, exist_ok=True)
     for strat, ledger in ledgers.items():
@@ -217,9 +228,12 @@ def cmd_backtest(args) -> int:
 
 
 def cmd_report(args) -> int:
+    _check_top(args.top)
     ledgers = {}
     for path in args.ledgers:
         name = os.path.splitext(os.path.basename(path))[0].removeprefix("ledger_")
+        if name in ledgers:
+            raise ValueError(f"strategy {name} is listed twice")
         ledgers[name] = ledger_from_csv(path, strategy=name)
     print(_write_tables(ledgers, args.top, args.out_dir, text_files=False))
     return EXIT_OK

@@ -12,6 +12,7 @@ the cone boundary.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -68,17 +69,14 @@ class ConeStructure:
         dims = np.array([blk.dim for blk in blocks], dtype=int)
         row_kind = np.repeat(kinds, dims)
         self.zero_rows = np.flatnonzero(row_kind == 0)
-        self.cone_rows = np.flatnonzero(row_kind != 0)
-        cone_kind = row_kind[self.cone_rows]
-        self.dim = pos = self.cone_rows.size
+        cone_kind = row_kind[row_kind != 0]
+        self.dim = pos = cone_kind.size
         self.nn_idx = np.flatnonzero(cone_kind == 1)
-        self.soc_rows = np.flatnonzero(cone_kind == 2)
         # first cone row of each non-Zero block, kept for the second-order ones
         cone_dims = dims[kinds != 0]
         is_soc = kinds[kinds != 0] == 2
-        soc_dims = cone_dims[is_soc]
         self.soc_starts = (np.cumsum(cone_dims) - cone_dims)[is_soc]
-        ends = self.soc_starts + soc_dims
+        ends = self.soc_starts + cone_dims[is_soc]
         self.soc_slices = list(zip(self.soc_starts.tolist(), ends.tolist()))
         # reduceat sums from one index to the next: a block that other rows
         # follow gets a cut at its end, so its sum holds its own rows only
@@ -88,24 +86,49 @@ class ConeStructure:
         # barrier degree: 1 per nonneg component, 1 per second-order block
         self.degree = self.nn_idx.size + self.soc_starts.size
 
-        # block number of each second-order row (0 on nonneg rows, which
-        # every use masks out) and J = diag(1, -I) per block, 0 elsewhere
-        self.block = np.zeros(pos, dtype=int)
-        self.block[self.soc_rows] = np.repeat(np.arange(soc_dims.size), soc_dims)
-        self.tail = np.zeros(pos, dtype=bool)
-        self.tail[self.soc_rows] = True
-        self.tail[self.soc_starts] = False
-        self.jsign = np.zeros(pos)
-        self.jsign[self.soc_rows] = -1.0
+        # J = diag(1, -I) per second-order block, 0 elsewhere, and the 0/1
+        # mask of the tails: all that jdot, max_step and margin read
+        self.jsign = np.where(cone_kind == 2, -1.0, 0.0)
         self.jsign[self.soc_starts] = 1.0
-        # -J on second-order rows extended by 1 on nonneg rows, so that
-        # w (2 v v'u - J u) with v = 0 there is W u on every row
-        self.negj = -self.jsign
-        self.negj[self.nn_idx] = 1.0
-        self._tailf = self.tail.astype(float)
-        # row of each row's block head (nonneg rows point at themselves)
-        self._head = np.arange(pos)
-        self._head[self.soc_rows] = self.soc_starts[self.block[self.soc_rows]]
+        self._tailf = (self.jsign < 0).astype(float)
+
+    # The per-row arrays below serve the Jordan products, the scalings and
+    # the Gram plan. They are built on first use, so a structure that only
+    # steps (the solver's pair over [s; z]) never holds them.
+
+    @cached_property
+    def cone_rows(self) -> np.ndarray:
+        return np.delete(np.arange(self.dim + self.zero_rows.size), self.zero_rows)
+
+    @cached_property
+    def soc_rows(self) -> np.ndarray:
+        return np.flatnonzero(self.jsign)
+
+    @cached_property
+    def tail(self) -> np.ndarray:
+        return self.jsign < 0
+
+    @cached_property
+    def block(self) -> np.ndarray:
+        """Block number of each second-order row (0 on nonneg rows, which
+        every use masks out)."""
+        return np.where(self.jsign != 0, np.cumsum(self.jsign > 0) - 1, 0)
+
+    @cached_property
+    def negj(self) -> np.ndarray:
+        """-J on second-order rows extended by 1 on nonneg rows, so that
+        w (2 v v'u - J u) with v = 0 there is W u on every row."""
+        negj = -self.jsign
+        negj[self.nn_idx] = 1.0
+        return negj
+
+    @cached_property
+    def _head(self) -> np.ndarray:
+        """Row of each row's block head (nonneg rows point at themselves)."""
+        head = np.arange(self.dim)
+        rows = self.soc_rows
+        head[rows] = self.soc_starts[self.block[rows]]
+        return head
 
     def blocksum(self, u: np.ndarray) -> np.ndarray:
         """Per second-order block sums of ``u``, which vanishes off those rows."""

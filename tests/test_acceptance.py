@@ -218,10 +218,11 @@ def test_acceptance_08_solver_battery_and_scale():
 def test_acceptance_09_backtest_mechanics():
     mu, eps = 0.001, 1e-5
     panel = fixture_panel()
-    for strategy in ("CRB", "CRB_SMART", "MRB", "MRBA", "MRBAL"):
-        cfg = BacktestConfig(strategy=strategy, budgets=np.array([0.5, 0.5]),
-                             mu=mu, psd_eps=eps)
-        ledger = run(panel, cfg)
+    strategies = ("CRB", "CRB_SMART", "MRB", "MRBA", "MRBAL")
+    ledgers = run(panel, [BacktestConfig(strategy=s, budgets=np.array([0.5, 0.5]), mu=mu, psd_eps=eps)
+                          for s in strategies])
+    assert tuple(ledgers) == strategies
+    for strategy, ledger in ledgers.items():
         assert ledger.n_periods == 3
         expected = oracle_decisions(panel, strategy, mu, eps)
         for k, (w_exp, lev_exp, abst_exp) in enumerate(expected):

@@ -20,7 +20,7 @@ from riskbudget.backtest import (
 )
 from riskbudget.allocation import InfeasibleAllocation
 from riskbudget.cli import main
-from riskbudget.data import ParseError
+from riskbudget.data import ParseError, load_csv, to_weekly
 
 from backtest_oracles import (
     FIXTURE_PRICES,
@@ -170,6 +170,29 @@ class TestBudgetRules:
         assert np.allclose(benchmark_crb_smart([-0.1, -0.3]), [0.5, 0.5], atol=0)
 
 
+ALL_STRATEGIES = ("CRB", "CRB_SMART", "MRB", "MRBA", "MRBAL")
+SAMPLE_PRICES = Path(__file__).parents[1] / "demos" / "data" / "sample_daily.csv"
+
+
+def recording(monkeypatch, name):
+    """Replace ``bt.<name>`` with a wrapper that records its arguments."""
+    calls = []
+    real = getattr(bt, name)
+
+    def wrapper(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(bt, name, wrapper)
+    return calls
+
+
+def ledger_text(ledger):
+    buf = io.StringIO()
+    ledger_to_csv(ledger, buf)
+    return buf.getvalue()
+
+
 def state_with(cov, forecast=None, cum=None, n=2):
     return EngineState(cov=np.asarray(cov, dtype=float),
                        forecast=np.zeros(n) if forecast is None else np.asarray(forecast, dtype=float),
@@ -228,6 +251,101 @@ class TestStrategyWeights:
         assert np.all(rc >= np.array([0.375, 0.125]) - 1e-6)
 
 
+class TestLockstep:
+    """One call runs every strategy, and the MRB strategies walk the weeks
+    together: each week prepares a covariance once, solves each distinct
+    problem once, and solves nothing whose result the forecasts decide."""
+
+    @pytest.mark.parametrize("source", ["fixture", "sample"])
+    def test_one_pass_equals_one_run_per_strategy(self, source):
+        if source == "fixture":
+            panel = fixture_panel()
+            settings = {"budgets": np.array([0.5, 0.5]), "mu": 0.001, "psd_eps": 1e-5}
+        else:
+            panel = to_weekly(load_csv(SAMPLE_PRICES))
+            settings = {"budgets": "half_norm_cum_return", "mu": 0.001}
+        configs = [BacktestConfig(strategy=s, **settings) for s in ALL_STRATEGIES]
+        together = run(panel, configs)
+        assert list(together) == list(ALL_STRATEGIES)
+        for cfg in configs:
+            alone = run(panel, cfg)
+            assert ledger_text(together[cfg.strategy]) == ledger_text(alone), cfg.strategy
+            assert together[cfg.strategy].notes == alone.notes
+
+    def test_a_problem_shared_within_a_week_solves_once(self, monkeypatch):
+        # prices rise every week, so every forecast is positive: MRBA never
+        # liquidates and holds MRB's weights, so the two share every solve;
+        # MRBAL shares one whenever it held what MRB held (from cash, say)
+        rng = np.random.default_rng(21)
+        prices = 100 * np.cumprod(1.001 + np.abs(rng.standard_normal((10, 3))) * 0.02, axis=0)
+        calls = recording(monkeypatch, "solve_allocation")
+        ledgers = run(make_panel(prices), [BacktestConfig(strategy=s, budgets=np.full(3, 1 / 3))
+                                           for s in ("MRB", "MRBA", "MRBAL")])
+        mrb, mrbal = ledgers["MRB"].weights, ledgers["MRBAL"].weights
+        assert np.array_equal(ledgers["MRBA"].weights, mrb)
+        held_apart = (mrb[:-1] != mrbal[:-1]).any(axis=1)
+        assert 0 < held_apart.sum() < len(held_apart)
+        assert len(calls) == len(mrb) + held_apart.sum()
+
+    def test_a_failed_shared_solve_fails_every_strategy_once(self, monkeypatch):
+        calls = []
+
+        def boom(problem, opts=None):
+            calls.append(problem)
+            raise InfeasibleAllocation(["engineered failure"])
+
+        monkeypatch.setattr(bt, "solve_allocation", boom)
+        prices = 100 * np.cumprod(np.full((8, 2), 1.01), axis=0)
+        ledgers = run(make_panel(prices), [BacktestConfig(strategy=s, budgets=np.array([0.5, 0.5]))
+                                           for s in ("MRB", "MRBA", "MRBAL")])
+        # every strategy abstains from cash each week, so the three share one problem
+        assert len(calls) == ledgers["MRB"].n_periods
+        for ledger in ledgers.values():
+            assert ledger.abstained.all()
+            assert all("engineered failure" in note for note in ledger.notes)
+
+    def test_all_negative_forecasts_liquidate_without_a_solve(self, monkeypatch):
+        steps = np.array([0.97, 0.99, 0.96, 0.98, 0.95, 0.99, 0.97])
+        prices = 100 * np.cumprod(np.column_stack([steps, steps * 1.004]), axis=0)
+        calls = recording(monkeypatch, "solve_allocation")
+        ledgers = run(make_panel(prices), [BacktestConfig(strategy=s, budgets=np.array([0.5, 0.5]))
+                                           for s in ("MRB", "MRBA", "MRBAL")])
+        assert ledgers["MRBA"].abstained.all() and ledgers["MRBAL"].abstained.all()
+        # MRB always solves; MRBA and MRBAL never do
+        assert not ledgers["MRB"].abstained.any()
+        assert len(calls) == ledgers["MRB"].n_periods
+
+    @pytest.mark.parametrize("strategy", ["MRB", "MRBA", "MRBAL"])
+    @pytest.mark.parametrize("forecast", [[-0.02, -0.01], [0.0, -0.01]])
+    def test_only_negative_forecasts_skip_the_solve(self, monkeypatch, strategy, forecast):
+        calls = recording(monkeypatch, "solve_allocation")
+        state = state_with(np.eye(2) * 0.01, forecast=forecast)
+        w, lev = strategy_weights(3, state, BacktestConfig(strategy=strategy, budgets=[0.5, 0.5]))
+        skipped = strategy != "MRB" and max(forecast) < 0
+        assert len(calls) == (0 if skipped else 1)
+        if strategy != "MRB":  # forecast @ x < 0 either way
+            assert np.all(w == 0) and lev == 0.0
+
+    @pytest.mark.parametrize("eps, week", [
+        ((None, None, None), ["prepare", "MRB", "MRBA", "MRBAL"]),
+        ((None, None, 1e-5), ["prepare", "MRB", "MRBA", "prepare", "MRBAL"]),
+    ])
+    def test_covariance_prepared_once_a_week_and_psd_eps(self, monkeypatch, eps, week):
+        # the CRB benchmarks walk the weeks apart from the strategies that
+        # read a covariance, and each week's covariance comes just before
+        # the first strategy that reads it
+        events = []
+        prepare, decide = bt.prepare_covariance, bt.strategy_weights
+        monkeypatch.setattr(bt, "prepare_covariance",
+                            lambda history, psd_eps=None: events.append("prepare") or prepare(history, psd_eps))
+        monkeypatch.setattr(bt, "strategy_weights",
+                            lambda t, state, cfg: events.append(cfg.strategy) or decide(t, state, cfg))
+        configs = [BacktestConfig(strategy=s, budgets=np.array([0.5, 0.5]), psd_eps=e)
+                   for s, e in zip(ALL_STRATEGIES, (None, None) + eps)]
+        weeks = run(fixture_panel(), configs)["CRB"].n_periods
+        assert events == ["CRB", "CRB_SMART"] * weeks + week * weeks
+
+
 class TestEngineDiscipline:
     def test_no_lookahead_truncation(self):
         rng = np.random.default_rng(11)
@@ -247,8 +365,8 @@ class TestEngineDiscipline:
         prices = 100 * np.cumprod(np.column_stack([steps, steps * 1.004]), axis=0)
         panel = make_panel(prices)
         b = np.array([0.5, 0.5])
-        mrb = run(panel, BacktestConfig(strategy="MRB", budgets=b))
-        mrba = run(panel, BacktestConfig(strategy="MRBA", budgets=b))
+        ledgers = run(panel, [BacktestConfig(strategy=s, budgets=b) for s in ("MRB", "MRBA")])
+        mrb, mrba = ledgers["MRB"], ledgers["MRBA"]
         assert np.all(mrba.abstained)
         assert mrba.values[-1] >= mrb.values[-1]
 

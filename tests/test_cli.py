@@ -192,10 +192,13 @@ class TestBacktestCommand:
         ("budgets", ["0.4", "0.1"], "budgets: entries must be numbers"),
         ("budgets", [0, True], "budgets: entries must be numbers"),
         ("budgets", [0.3, 0.1, 0.1], "budgets has 3 entries, but the panel has 2 assets"),
+        ("strategies", ["CRB", "MRB", "crb"], "strategy CRB is listed twice"),
+        ("strategies", ["MRB", "MRB"], "strategy MRB is listed twice"),
+        ("strategies", ["CRB.SMART", "crb_smart"], "strategy CRB_SMART is listed twice"),
     ])
     def test_bad_setting_exits_1_before_any_week(self, tmp_path, capsys, monkeypatch, key, value,
                                                  message):
-        def no_run(panel, cfg):
+        def no_run(panel, configs):
             raise AssertionError("a week ran")
 
         monkeypatch.setattr(cli, "run", no_run)
@@ -215,7 +218,7 @@ class TestBacktestCommand:
     def test_absent_settings_take_config_defaults(self, tmp_path, monkeypatch, flags, options):
         # the engine's 1e-7 tolerance stays unless --tol replaces it
         configs = []
-        monkeypatch.setattr(cli, "run", lambda panel, cfg: configs.append(cfg) or run(panel, cfg))
+        monkeypatch.setattr(cli, "run", lambda panel, cfgs: configs.extend(cfgs) or run(panel, cfgs))
         path = tmp_path / "config.json"
         path.write_text(json.dumps({"strategies": ["MRBAL"], "budgets": [0.4, 0.1]}))
         rc = main(["backtest", "--prices", write_prices_csv(tmp_path), "--config", str(path),
@@ -264,6 +267,14 @@ FAILURES = {
     "repeated ledger date": lambda tmp: ["report", _write(tmp / "ledger_X.csv", LEDGER_HEAD
                                                           + "2021-01-08,1.1,0.5,0.5,1.0,0.0,0.0,False\n")],
     "empty ledger": lambda tmp: ["report", _write(tmp / "ledger_X.csv", LEDGER_HEAD.splitlines()[0] + "\n")],
+    "strategy twice": lambda tmp: ["backtest", "--prices", write_prices_csv(tmp), "--config",
+                                   write_config(tmp), "--strategies", "CRB,crb"],
+    "negative top": lambda tmp: ["backtest", "--prices", write_prices_csv(tmp), "--config",
+                                 write_config(tmp), "--top", "-3"],
+    "report strategy twice": lambda tmp: ["report", _write(tmp / "ledger_X.csv", LEDGER_HEAD),
+                                          _write(tmp / "X.csv", LEDGER_HEAD)],
+    "report negative top": lambda tmp: ["report", _write(tmp / "ledger_X.csv", LEDGER_HEAD),
+                                        "--top", "-3"],
     "tol 0": lambda tmp: ["solve", "--config", write_problem(tmp, {"cov": [[1.0]], "budgets": [1.0]}),
                           "--tol", "0"],
     "string lambda": lambda tmp: ["solve", "--config", write_problem(
@@ -286,6 +297,23 @@ def test_every_error_is_one_line_from_main(tmp_path, capsys, failure):
     [line] = captured.err.splitlines()
     assert line.startswith("error: ") and "Traceback" not in line
     assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("failure, message", [
+    ("strategy twice", "error: strategy CRB is listed twice"),
+    ("negative top", "error: --top must be >= 0, got -3"),
+    ("report strategy twice", "error: strategy X is listed twice"),
+    ("report negative top", "error: --top must be >= 0, got -3"),
+])
+def test_repeats_and_negative_top_are_named(tmp_path, capsys, monkeypatch, failure, message):
+    # a negative --top would act as a slice, and a repeated strategy would run
+    # twice into one ledger; both stop before any week runs
+    monkeypatch.setattr(cli, "run", lambda panel, configs: pytest.fail("a week ran"))
+    argv = FAILURES[failure](tmp_path)
+    if argv[0] == "backtest":
+        argv += ["--out-dir", str(tmp_path / "out")]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == message + "\n"
 
 
 class TestGoldenLedgers:

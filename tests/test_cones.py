@@ -234,6 +234,9 @@ def test_pair_pass_equals_the_per_vector_calls(blocks):
         shared, own = NTScaling(struct, s, z, dets), NTScaling(struct, s, z)
         for name in ("eta", "vtv", "v_all", "vsq", "w", "lmbda"):
             assert np.array_equal(getattr(shared, name), getattr(own, name)), name
+    # the pair only steps, so it never builds the per-row arrays that the
+    # Jordan products and the scalings read
+    assert not {"block", "_head", "negj", "tail", "soc_rows", "cone_rows"} & set(vars(pair))
 
 
 # Per-block loop versions of the cone primitives, the reference for the
