@@ -302,9 +302,12 @@ def expected_stats(problem: AllocationProblem, weights) -> tuple[float, float]:
     w = np.asarray(weights, dtype=float).ravel()
     if w.size != problem.size:
         raise ValueError(f"weights have {w.size} entries, expected {problem.size}")
-    exp_ret = float(problem.forecasts @ w)
-    exp_sd = float(np.sqrt(max(w @ problem.cov @ w, 0.0)))
-    return exp_ret, exp_sd
+    return float(problem.forecasts @ w), portfolio_sd(problem.cov, w)
+
+
+def portfolio_sd(cov: np.ndarray, w: np.ndarray) -> float:
+    """Ex-ante standard deviation ``sqrt(w'Cw)``, 0 where roundoff makes ``w'Cw`` negative."""
+    return float(np.sqrt(max(w @ cov @ w, 0.0)))
 
 
 # JSON document schema (all arrays plain lists, cov row-major):

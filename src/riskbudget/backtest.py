@@ -29,7 +29,7 @@ from datetime import date
 
 import numpy as np
 
-from .allocation import (AllocationError, AllocationProblem, expected_stats, float_array,
+from .allocation import (AllocationError, AllocationProblem, float_array, portfolio_sd,
                          require_number, solve_allocation)
 from .data import ParseError, WeeklyPanel, _opened, returns as panel_returns
 from .linalg import NotPositiveDefinite, covariance, psd_from_eig, symmetric_eig
@@ -200,7 +200,10 @@ def strategy_weights(t: int, state: EngineState, cfg: BacktestConfig) -> tuple[n
     errors propagate; the engine converts them to abstained periods. A
     problem already in ``state.solves`` is not solved again, and MRBA and
     MRBAL liquidate without a solve when every forecast is negative, since
-    then ``forecast @ x < 0`` for every x >= 0 with sum(x) = 1.
+    then ``forecast @ x < 0`` for every x >= 0 with sum(x) = 1. Only a
+    decision that solves builds and validates an ``AllocationProblem``:
+    one that finds its solve, or its failure, in ``state.solves`` looks it
+    up by key, and MRBAL's leverage reads ``state.cov`` directly.
     """
     n = len(state.tickers)
     if cfg.strategy == "CRB":
@@ -214,19 +217,19 @@ def strategy_weights(t: int, state: EngineState, cfg: BacktestConfig) -> tuple[n
         budgets = budget_rule_half_norm(state.cum_returns)
     else:
         budgets = cfg.budgets
-    problem = AllocationProblem(
-        cov=state.cov,
-        budgets=budgets,
-        forecasts=state.forecast,
-        lam=cfg.lam,
-        mu=cfg.mu,
-        prev_weights=state.prev_weights,
-        assets=state.tickers,
-    )
     # the week fixes the covariance (given psd_eps) and the forecasts
     key = (state.prev_weights.tobytes(), budgets.tobytes(), cfg.lam, cfg.mu, cfg.psd_eps,
            cfg.solver_options)
     if key not in state.solves:
+        problem = AllocationProblem(
+            cov=state.cov,
+            budgets=budgets,
+            forecasts=state.forecast,
+            lam=cfg.lam,
+            mu=cfg.mu,
+            prev_weights=state.prev_weights,
+            assets=state.tickers,
+        )
         try:
             state.solves[key] = solve_allocation(problem, cfg.solver_options).weights
         except (AllocationError, NotPositiveDefinite) as exc:
@@ -242,8 +245,8 @@ def strategy_weights(t: int, state: EngineState, cfg: BacktestConfig) -> tuple[n
     if cfg.strategy == "MRBA":
         return x, 1.0
 
-    sd_crb = expected_stats(problem, np.full(n, 1.0 / n))[1]
-    sd_mrb = expected_stats(problem, x)[1]
+    sd_crb = portfolio_sd(state.cov, np.full(n, 1.0 / n))
+    sd_mrb = portfolio_sd(state.cov, x)
     lev = min(cfg.leverage_cap, sd_crb / sd_mrb) if sd_mrb > 0 else 1.0
     return lev * x, lev
 

@@ -291,15 +291,11 @@ class _KKT:
     def solve3(self, rho_x, rho_y, rho_3):
         dx, dy, dz, gdx = self._reduced(rho_x, rho_y, rho_3)
         w, aeq = self.scaling, self.aeq
-        base = max(_norm(rho_x), _norm(rho_y), _norm(rho_3), 1e-300)
         for step in range(self.refine_steps):
             res_x = rho_x - (aeq.T @ dy + self.g.rmatvec(dz))
             res_y = rho_y - aeq @ dx
             # the first pass's ``dx`` is the one ``_reduced`` multiplied
             res_3 = rho_3 - ((gdx if step == 0 else self.g @ dx) - w.apply_sq(dz))
-            rnorm = max(_norm(res_x), _norm(res_y), _norm(res_3))
-            if rnorm <= 1e-14 * base:
-                break
             ex, ey, ez, _ = self._reduced(res_x, res_y, res_3)
             if not (np.isfinite(ex).all() and np.isfinite(ey).all() and np.isfinite(ez).all()):
                 break

@@ -315,6 +315,29 @@ class TestLockstep:
         assert not ledgers["MRB"].abstained.any()
         assert len(calls) == ledgers["MRB"].n_periods
 
+    @pytest.mark.parametrize("fails", [False, True])
+    def test_only_a_solve_builds_a_problem(self, monkeypatch, fails):
+        # on the fixture panel MRBA and MRBAL reuse MRB's solve in the first
+        # week and liquidate on all-negative forecasts in the last; with
+        # every solve failing, the three share each week's failure
+        built, solved = [], []
+        problem, solve = bt.AllocationProblem, bt.solve_allocation
+
+        def solve_or_fail(prob, opts=None):
+            solved.append(prob)
+            if fails:
+                raise InfeasibleAllocation(["engineered failure"])
+            return solve(prob, opts)
+
+        monkeypatch.setattr(bt, "AllocationProblem", lambda **kw: built.append(kw) or problem(**kw))
+        monkeypatch.setattr(bt, "solve_allocation", solve_or_fail)
+        ledgers = run(fixture_panel(), [BacktestConfig(strategy=s, budgets=np.array([0.5, 0.5]),
+                                                       mu=0.001, psd_eps=1e-5)
+                                        for s in ("MRB", "MRBA", "MRBAL")])
+        decisions = sum(ledger.n_periods for ledger in ledgers.values())
+        assert len(solved) < decisions - 2  # two liquidations, and a reuse
+        assert len(built) == len(solved)
+
     @pytest.mark.parametrize("strategy", ["MRB", "MRBA", "MRBAL"])
     @pytest.mark.parametrize("forecast", [[-0.02, -0.01], [0.0, -0.01]])
     def test_only_negative_forecasts_skip_the_solve(self, monkeypatch, strategy, forecast):

@@ -7,6 +7,7 @@ seeded draw, so the whole file runs the same examples every time.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -119,6 +120,17 @@ def planted(blocks, n, rng):
 @PROPERTY
 @given(blocks=layouts(), extra=st.integers(0, 2), seed=seeds)
 def test_planted_optimum_is_found(blocks, extra, seed):
+    check_planted_optimum(blocks, extra, seed)
+
+
+# found at max_examples=300: the solve stalls just above the tolerance and
+# ends MaxIters with residuals near 1.2e-8
+@pytest.mark.xfail(strict=True, reason="stalls above a 1e-8 tolerance: ROADMAP item 4")
+def test_planted_optimum_stall():
+    check_planted_optimum([NonNeg(2), Zero(1), SecondOrder(4)], extra=1, seed=117)
+
+
+def check_planted_optimum(blocks, extra, seed):
     rng = np.random.default_rng(seed)
     # at least as many variables as any block has rows, and more than the
     # Zero rows, so both the program and its dual keep an interior
