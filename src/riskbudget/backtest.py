@@ -372,8 +372,9 @@ def ledger_to_csv(ledger: BacktestLedger, destination) -> None:
 def ledger_from_csv(source, strategy: str = "") -> BacktestLedger:
     """Rebuild a ledger from :func:`ledger_to_csv` output (prices excluded).
 
-    A malformed row, or a date not later than the row before it, raises
-    :class:`ParseError` with its line number; so does a ledger without rows."""
+    A malformed row, a number that is not finite, or a date not later than
+    the row before it, raises :class:`ParseError` with its line number; so
+    does a ledger without rows."""
     with _opened(source) as fh:
         header = fh.readline().strip().split(",")
         if header[:2] != ["date", "value"] or header[-4:] != ["leverage", "cost", "turnover", "abstained"]:
@@ -390,13 +391,18 @@ def ledger_from_csv(source, strategy: str = "") -> BacktestLedger:
                 raise ParseError(f"abstained must be True or False, got {parts[-1]!r}", line=lineno)
             try:
                 day = date.fromisoformat(parts[0])
-                values.append(float(parts[1]))
-                weights.append([float(v) for v in parts[2:-4]])
-                levs.append(float(parts[-4]))
-                costs.append(float(parts[-3]))
-                turns.append(float(parts[-2]))
+                nums = np.array([float(v) for v in parts[1:-1]])
             except ValueError as exc:
                 raise ParseError(str(exc), line=lineno) from None
+            bad = np.flatnonzero(~np.isfinite(nums))
+            if bad.size:
+                col = 1 + bad[0]
+                raise ParseError(f"{header[col]} must be a finite number, got {parts[col]!r}", line=lineno)
+            values.append(nums[0])
+            weights.append(nums[1:-3])
+            levs.append(nums[-3])
+            costs.append(nums[-2])
+            turns.append(nums[-1])
             if dates and day <= dates[-1]:
                 raise ParseError(f"date {day} is not later than {dates[-1]}", line=lineno)
             dates.append(day)

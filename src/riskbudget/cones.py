@@ -12,7 +12,6 @@ the cone boundary.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -49,15 +48,18 @@ class ConeStructure:
     The blocks are those of a ``ConeProgram``, which checked their types
     and dims when it was built.
 
-    ``zero_rows`` and ``cone_rows`` are the positions of the Zero rows and
-    of all other rows in the program's row order. Every other position is
-    relative to the stacked *cone rows only* (Zero rows removed, original
-    order preserved, so SecondOrder blocks stay contiguous). Per-block
-    quantities are segmented sums over the whole vector
-    (``np.add.reduceat`` at the block starts) with 0/1 and sign masks that
-    vanish off the second-order rows, so no operation loops over blocks in
-    Python. Each segment sums its own block's rows only, so a structure
-    over the blocks listed twice gives, on ``[s; z]``, bit for bit the
+    The cone rows are held in canonical order, as CVXOPT and ECOS hold
+    them: every NonNeg row in program order, then every SecondOrder block
+    in program order. ``zero_rows`` and ``cone_rows`` are the positions in
+    the program's row order of the Zero rows and of the cone rows in that
+    canonical order, so ``A[cone_rows]`` lists the cone rows as the solver
+    works on them. Every other position is relative to the canonical cone
+    rows, where the SecondOrder blocks lie contiguous at the end.
+    Per-block quantities are segmented sums (``np.add.reduceat`` at the
+    block starts) with 0/1 and sign masks that vanish off the second-order
+    rows, so no operation loops over blocks in Python. ``jdot``,
+    ``max_step`` and ``margin`` reduce over the last axis, so on the stack
+    ``[s; z]`` of shape ``(2, dim)`` one pass gives, bit for bit, the
     per-block values, step lengths and margins of ``s`` and ``z`` taken one
     at a time.
     """
@@ -68,72 +70,42 @@ class ConeStructure:
                           for blk in blocks], dtype=int)
         dims = np.array([blk.dim for blk in blocks], dtype=int)
         row_kind = np.repeat(kinds, dims)
-        self.zero_rows = np.flatnonzero(row_kind == 0)
-        cone_kind = row_kind[row_kind != 0]
-        self.dim = pos = cone_kind.size
-        self.nn_idx = np.flatnonzero(cone_kind == 1)
-        # first cone row of each non-Zero block, kept for the second-order ones
-        cone_dims = dims[kinds != 0]
-        is_soc = kinds[kinds != 0] == 2
-        self.soc_starts = (np.cumsum(cone_dims) - cone_dims)[is_soc]
-        ends = self.soc_starts + cone_dims[is_soc]
-        self.soc_slices = list(zip(self.soc_starts.tolist(), ends.tolist()))
-        # reduceat sums from one index to the next: a block that other rows
-        # follow gets a cut at its end, so its sum holds its own rows only
-        gaps = np.setdiff1d(ends, np.append(self.soc_starts, pos))
-        self._cuts = np.union1d(self.soc_starts, gaps)
-        self._picks = np.searchsorted(self._cuts, self.soc_starts) if gaps.size else None
+        # a stable sort by kind keeps program order within each kind
+        order = np.argsort(row_kind, kind="stable")
+        nzero = np.count_nonzero(row_kind == 0)
+        self.zero_rows, self.cone_rows = order[:nzero], order[nzero:]
+        self.dim = self.cone_rows.size
+        nnn = np.count_nonzero(row_kind == 1)
+        self.nn_idx = np.arange(nnn)
+        soc_dims = dims[kinds == 2]
+        self.soc_starts = nnn + np.cumsum(soc_dims) - soc_dims
+        self.soc_slices = list(zip(self.soc_starts.tolist(), (self.soc_starts + soc_dims).tolist()))
         # barrier degree: 1 per nonneg component, 1 per second-order block
-        self.degree = self.nn_idx.size + self.soc_starts.size
+        self.degree = nnn + soc_dims.size
 
-        # J = diag(1, -I) per second-order block, 0 elsewhere, and the 0/1
-        # mask of the tails: all that jdot, max_step and margin read
-        self.jsign = np.where(cone_kind == 2, -1.0, 0.0)
+        self.soc_rows = np.arange(nnn, self.dim)
+        # J = diag(1, -I) per second-order block, 0 on nonneg rows
+        self.jsign = np.zeros(self.dim)
+        self.jsign[nnn:] = -1.0
         self.jsign[self.soc_starts] = 1.0
-        self._tailf = (self.jsign < 0).astype(float)
-
-    # The per-row arrays below serve the Jordan products, the scalings and
-    # the Gram plan. They are built on first use, so a structure that only
-    # steps (the solver's pair over [s; z]) never holds them.
-
-    @cached_property
-    def cone_rows(self) -> np.ndarray:
-        return np.delete(np.arange(self.dim + self.zero_rows.size), self.zero_rows)
-
-    @cached_property
-    def soc_rows(self) -> np.ndarray:
-        return np.flatnonzero(self.jsign)
-
-    @cached_property
-    def tail(self) -> np.ndarray:
-        return self.jsign < 0
-
-    @cached_property
-    def block(self) -> np.ndarray:
-        """Block number of each second-order row (0 on nonneg rows, which
-        every use masks out)."""
-        return np.where(self.jsign != 0, np.cumsum(self.jsign > 0) - 1, 0)
-
-    @cached_property
-    def negj(self) -> np.ndarray:
-        """-J on second-order rows extended by 1 on nonneg rows, so that
-        w (2 v v'u - J u) with v = 0 there is W u on every row."""
-        negj = -self.jsign
-        negj[self.nn_idx] = 1.0
-        return negj
-
-    @cached_property
-    def _head(self) -> np.ndarray:
-        """Row of each row's block head (nonneg rows point at themselves)."""
-        head = np.arange(self.dim)
-        rows = self.soc_rows
-        head[rows] = self.soc_starts[self.block[rows]]
-        return head
+        self.tail = self.jsign < 0
+        self._tailf = self.tail.astype(float)
+        # block number of each second-order row (0 on nonneg rows, which
+        # every use masks out)
+        self.block = np.zeros(self.dim, dtype=int)
+        self.block[nnn:] = np.repeat(np.arange(soc_dims.size), soc_dims)
+        # -J on second-order rows extended by 1 on nonneg rows, so that
+        # w (2 v v'u - J u) with v = 0 there is W u on every row
+        self.negj = -self.jsign
+        self.negj[:nnn] = 1.0
+        # row of each row's block head (nonneg rows point at themselves)
+        self._head = np.arange(self.dim)
+        self._head[nnn:] = np.repeat(self.soc_starts, soc_dims)
 
     def blocksum(self, u: np.ndarray) -> np.ndarray:
-        """Per second-order block sums of ``u``, which vanishes off those rows."""
-        sums = np.add.reduceat(u, self._cuts)
-        return sums if self._picks is None else sums[self._picks]
+        """Per second-order block sums of ``u`` over its last axis (the
+        nonneg rows, ahead of the first block, are left out)."""
+        return np.add.reduceat(u, self.soc_starts, axis=-1)
 
     def jdot(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         """Per second-order block ``u0 v0 - u1'v1``."""
@@ -150,13 +122,14 @@ class ConeStructure:
         return e
 
     def margin(self, u: np.ndarray) -> float:
-        """Smallest distance of ``u`` from every block boundary (can be < 0)."""
+        """Smallest distance of ``u`` from every block boundary (can be < 0),
+        over every row of a stack."""
         m = np.inf
         if self.nn_idx.size:
-            m = min(m, float(u[self.nn_idx].min()))
+            m = min(m, float(u[..., self.nn_idx].min()))
         if self.soc_starts.size:
             tails = np.sqrt(self.tail_dot(u, u))
-            m = min(m, float((u[self.soc_starts] - tails).min()))
+            m = min(m, float((u[..., self.soc_starts] - tails).min()))
         return m
 
     def prod(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -181,11 +154,12 @@ class ConeStructure:
         return out
 
     def max_step(self, u: np.ndarray, du: np.ndarray, uu: np.ndarray | None = None) -> float:
-        """Largest alpha >= 0 with u + alpha*du in the cone (u interior);
-        ``uu`` is ``jdot(u, u)`` when the caller has it already."""
+        """Largest alpha >= 0 with u + alpha*du in the cone (u interior),
+        for every row of a stack at once; ``uu`` is ``jdot(u, u)`` when the
+        caller has it already."""
         alpha = np.inf
         if self.nn_idx.size:
-            un, dn = u[self.nn_idx], du[self.nn_idx]
+            un, dn = u[..., self.nn_idx], du[..., self.nn_idx]
             neg = dn < 0
             if neg.any():
                 alpha = min(alpha, float((-un[neg] / dn[neg]).min()))
@@ -196,7 +170,7 @@ class ConeStructure:
 
 
 def _soc_max_step(a, b, c) -> float:
-    # first boundary crossing t > 0, over all blocks, of
+    # first boundary crossing t > 0, over all blocks of every row, of
     # (u0 + t d0)^2 - ||u1 + t d1||^2 = a t^2 + b t + c for interior u:
     # the smallest positive one of the stable roots q/a and c/q. With
     # c > 0, a negative discriminant needs b > 0 (the line never leaves the
@@ -206,7 +180,7 @@ def _soc_max_step(a, b, c) -> float:
         return 0.0
     q = -0.5 * (b + np.copysign(np.sqrt(np.maximum(b * b - 4.0 * a * c, 0.0)), b))
     with np.errstate(divide="ignore", invalid="ignore"):
-        roots = np.concatenate([q / a, c / q])
+        roots = np.concatenate([q / a, c / q], axis=None)
     roots = roots[roots > 0]
     return float(roots.min()) if roots.size else np.inf
 
@@ -226,12 +200,12 @@ class NTScaling:
     W^-2 = eta^-2 (2 J(v o v) (J(v o v))' - J): the same one-vector form as
     W, from the Jordan square ``vsq`` stored once per scaling.
 
-    ``dets``, when given, holds the block determinants ``jdot(s, s)`` then
-    ``jdot(z, z)``, as the solver's one pass over ``[s; z]`` computes them.
+    ``dets`` holds the block determinants of ``s`` and ``z`` as the two
+    rows of ``struct.jdot(sz, sz)`` on their stack ``sz = [s; z]``, the one
+    pass that also gives the solver's step lengths.
     """
 
-    def __init__(self, struct: ConeStructure, s: np.ndarray, z: np.ndarray,
-                 dets: np.ndarray | None = None):
+    def __init__(self, struct: ConeStructure, s: np.ndarray, z: np.ndarray, dets: np.ndarray):
         self.struct = struct
         self.eta = np.zeros(struct.soc_starts.size)
         self.vtv = np.zeros(struct.soc_starts.size)
@@ -239,10 +213,7 @@ class NTScaling:
         self.vsq = np.zeros(struct.dim)  # the Jordan square v o v, likewise
         if struct.soc_starts.size:
             blk, starts = struct.block, struct.soc_starts
-            if dets is None:
-                dets = np.concatenate([struct.jdot(s, s), struct.jdot(z, z)])
-            roots = np.sqrt(dets)
-            ds, dz = roots[: starts.size], roots[starts.size :]
+            ds, dz = np.sqrt(dets)
             sb = s / ds[blk]
             zb = z / dz[blk]
             gamma = np.sqrt(0.5 * (1.0 + sb[starts] * zb[starts] + struct.tail_dot(sb, zb)))

@@ -70,8 +70,8 @@ class WeeklyPanel:
                              f"{len(self.dates)} weeks x {len(self.tickers)} assets")
         if any(b >= a for a, b in zip(self.dates[1:], self.dates)):
             raise ValueError("dates must be strictly increasing")
-        if not np.all(p > 0):
-            raise ValueError("all prices must be positive")
+        if not np.all(np.isfinite(p) & (p > 0)):
+            raise ValueError("all prices must be finite and positive")
 
     @property
     def n_periods(self) -> int:

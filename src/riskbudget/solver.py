@@ -346,15 +346,13 @@ def solve(p: ConeProgram, opts: SolverOptions | None = None) -> ConeSolution:
 
     e = struct.identity()
     deg = max(struct.degree, 1)
-    # s and z are stepped as one vector [s; z] over the cone blocks listed
-    # twice: one segmented pass gives both vectors' block determinants,
-    # step lengths and margins
-    pair = ConeStructure([blk for blk in p.cones if not isinstance(blk, Zero)] * 2)
-
     x = np.zeros(n)
     y = np.zeros(aeq.shape[0])
-    sz = np.concatenate([e, e])
-    s, z = sz[:m], sz[m:]
+    # s and z are the two rows of one array, over the program's one cone
+    # structure: one segmented pass gives both vectors' block
+    # determinants, step lengths and margins
+    sz = np.stack([e, e])
+    s, z = sz
     tau, kappa = 1.0, 1.0
 
     norm_c = 1.0 + np.linalg.norm(c)
@@ -434,7 +432,7 @@ def solve(p: ConeProgram, opts: SolverOptions | None = None) -> ConeSolution:
         # forming H grows as the barrier closes, and until mu is within
         # REFINE_MU of tol the first pass leaves a KKT residual far below it
         refine = REFINE_STEPS if mu <= REFINE_MU * opts.tol else 0
-        dets = pair.jdot(sz, sz)
+        dets = struct.jdot(sz, sz)
         iterations += 1
         try:
             scaling = NTScaling(struct, s, z, dets)
@@ -466,7 +464,7 @@ def solve(p: ConeProgram, opts: SolverOptions | None = None) -> ConeSolution:
             return dx, dy, dz, ds, dtau, dkappa
 
         def max_step(dz, ds, dtau, dkappa):
-            alpha = pair.max_step(sz, np.concatenate([ds, dz]), dets)
+            alpha = struct.max_step(sz, np.stack([ds, dz]), dets)
             if dtau < 0:
                 alpha = min(alpha, -tau / dtau)
             if dkappa < 0:
@@ -502,7 +500,7 @@ def solve(p: ConeProgram, opts: SolverOptions | None = None) -> ConeSolution:
         s += alpha * ds
         tau += alpha * dtau
         kappa += alpha * dkappa
-        if tau <= 0 or kappa <= 0 or pair.margin(sz) <= 0:
+        if tau <= 0 or kappa <= 0 or struct.margin(sz) <= 0:
             break
 
     xt, yt, zt, st, pres, dres, relgap, pobj = best

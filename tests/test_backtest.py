@@ -500,6 +500,8 @@ class TestLedgerCsv:
         ("2021-01-15,1.0,0.5,x,1.0,0.0,0.0,False", "line 3: could not convert"),
         ("2021-01-08,1.0,0.5,0.5,1.0,0.0,0.0,False", "line 3: date 2021-01-08 is not later than 2021-01-08"),
         ("2021-01-01,1.0,0.5,0.5,1.0,0.0,0.0,False", "line 3: date 2021-01-01 is not later than 2021-01-08"),
+        ("2021-01-15,1.0,0.5,inf,1.0,0.0,0.0,False", "line 3: w_B must be a finite number, got 'inf'"),
+        ("2021-01-15,nan,0.5,0.5,1.0,0.0,0.0,False", "line 3: value must be a finite number, got 'nan'"),
     ])
     def test_malformed_row_names_its_line(self, row, message):
         text = ("date,value,w_A,w_B,leverage,cost,turnover,abstained\n"

@@ -137,6 +137,20 @@ class TestBacktestCommand:
         stdout = capsys.readouterr().out
         assert "total_return" in stdout and "DD.CRB" in stdout
 
+    @pytest.mark.parametrize("umask,mode", [(0o022, 0o644), (0o077, 0o600)], ids=["022", "077"])
+    def test_outputs_take_the_mode_open_would_give(self, tmp_path, umask, mode):
+        prices = write_prices_csv(tmp_path)
+        config = write_config(tmp_path, strategies=["CRB"])
+        out_dir = tmp_path / "out"
+        old = os.umask(umask)
+        try:
+            assert main(["backtest", "--prices", prices, "--config", config,
+                         "--out-dir", str(out_dir)]) == 0
+        finally:
+            os.umask(old)
+        for name in ("ledger_CRB.csv", "summary.csv", "manifest.json"):
+            assert (out_dir / name).stat().st_mode & 0o777 == mode, name
+
     def test_crb_ledger_equal_weights(self, tmp_path):
         prices = write_prices_csv(tmp_path)
         config = write_config(tmp_path, strategies=["CRB"])

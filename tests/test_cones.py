@@ -14,10 +14,17 @@ def random_interior(struct, rng, scale=1.0):
     return u
 
 
+def nt_scaling(struct, s, z):
+    """The scaling of ``s`` and ``z`` with the determinants of their stack,
+    as the solver builds it."""
+    sz = np.stack([s, z])
+    return NTScaling(struct, s, z, struct.jdot(sz, sz))
+
+
 LAYOUTS = [
     [NonNeg(3), SecondOrder(4), Zero(2), SecondOrder(2)],
-    # nonneg rows between and after second-order blocks, inside the
-    # segments that the segmented sums give the blocks before them
+    # nonneg rows between and after second-order blocks, which the
+    # structure moves ahead of them
     [SecondOrder(3), NonNeg(2), SecondOrder(2), NonNeg(1)],
 ]
 
@@ -60,7 +67,7 @@ def test_nt_scaling_identities(structs):
     for struct in structs * 25:
         s = random_interior(struct, rng, scale=rng.uniform(0.1, 10))
         z = random_interior(struct, rng, scale=rng.uniform(0.1, 10))
-        w = NTScaling(struct, s, z)
+        w = nt_scaling(struct, s, z)
         # W z = W^{-1} s = lambda
         assert np.allclose(w.apply(z), w.lmbda, atol=1e-10)
         assert np.allclose(w.apply_inv(s), w.lmbda, atol=1e-10)
@@ -87,7 +94,7 @@ def test_w_squared_in_one_vector_form(structs):
             if size != 1.0:
                 for lo, hi in struct.soc_slices:
                     s[lo] = np.linalg.norm(s[lo + 1 : hi]) * 1.01
-            w = NTScaling(struct, s, z)
+            w = nt_scaling(struct, s, z)
             assert np.allclose(w.vsq, struct.prod(w.v_all, w.v_all), rtol=1e-14, atol=1e-14)
             assert np.allclose(struct.jdot(w.vsq, w.vsq), 1.0, rtol=1e-12, atol=0.0)
             u = rng.standard_normal(struct.dim)
@@ -154,7 +161,7 @@ def test_gram_matches_bruteforce(structs):
     for struct in structs:
         s = random_interior(struct, rng)
         z = random_interior(struct, rng)
-        w = NTScaling(struct, s, z)
+        w = nt_scaling(struct, s, z)
         g = RowMatrix.dense(rng.standard_normal((struct.dim, 5)))
         no_eq = np.zeros((0, 5))
         assert np.allclose(full_gram(w, GramPlan(struct, g, no_eq)), brute_gram(w, g), atol=1e-9)
@@ -202,9 +209,9 @@ def test_max_step_pure_nonneg():
     assert struct.max_step(u, np.ones(3)) == np.inf
 
 
-# the solver's one pass over [s; z]; the long blocks beside nonneg rows
-# give segments of eight or more terms, where numpy's pairwise summation
-# would round a block's sum differently if the rows after it joined it
+# the solver's one pass over the stack [s; z]; the long blocks beside
+# nonneg rows give segments of eight or more terms, where numpy's pairwise
+# summation would round a block's sum differently if other rows joined it
 PAIR_LAYOUTS = LAYOUTS + [
     [NonNeg(9), SecondOrder(12), SecondOrder(12)],
     [SecondOrder(12), NonNeg(10)],
@@ -215,28 +222,25 @@ PAIR_LAYOUTS = LAYOUTS + [
 @pytest.mark.parametrize("blocks", PAIR_LAYOUTS)
 def test_pair_pass_equals_the_per_vector_calls(blocks):
     struct = ConeStructure(blocks)
-    pair = ConeStructure([blk for blk in blocks if not isinstance(blk, Zero)] * 2)
     rng = np.random.default_rng(11)
     for _ in range(40):
         s = random_interior(struct, rng, scale=rng.uniform(0.1, 10))
         z = random_interior(struct, rng, scale=rng.uniform(0.1, 10))
         ds, dz = rng.standard_normal(struct.dim), rng.standard_normal(struct.dim)
-        sz, dsz = np.concatenate([s, z]), np.concatenate([ds, dz])
-        dets = pair.jdot(sz, sz)
-        assert np.array_equal(dets, np.concatenate([struct.jdot(s, s), struct.jdot(z, z)]))
+        sz, dsz = np.stack([s, z]), np.stack([ds, dz])
+        dets = struct.jdot(sz, sz)
+        each = np.stack([struct.jdot(s, s), struct.jdot(z, z)])
+        assert np.array_equal(dets, each)
         for step in (dsz, -dsz, 1e-3 * dsz):
-            want = min(struct.max_step(s, step[: struct.dim]), struct.max_step(z, step[struct.dim :]))
-            assert pair.max_step(sz, step) == want
-            assert pair.max_step(sz, step, dets) == want
+            want = min(struct.max_step(s, step[0]), struct.max_step(z, step[1]))
+            assert struct.max_step(sz, step) == want
+            assert struct.max_step(sz, step, dets) == want
         # margins of interior points and of points past the boundary
         for u in (sz, dsz):
-            assert pair.margin(u) == min(struct.margin(u[: struct.dim]), struct.margin(u[struct.dim :]))
-        shared, own = NTScaling(struct, s, z, dets), NTScaling(struct, s, z)
+            assert struct.margin(u) == min(struct.margin(u[0]), struct.margin(u[1]))
+        shared, own = NTScaling(struct, s, z, dets), NTScaling(struct, s, z, each)
         for name in ("eta", "vtv", "v_all", "vsq", "w", "lmbda"):
             assert np.array_equal(getattr(shared, name), getattr(own, name)), name
-    # the pair only steps, so it never builds the per-row arrays that the
-    # Jordan products and the scalings read
-    assert not {"block", "_head", "negj", "tail", "soc_rows", "cone_rows"} & set(vars(pair))
 
 
 # Per-block loop versions of the cone primitives, the reference for the
@@ -328,7 +332,7 @@ def test_segmented_primitives_match_block_loops(blocks):
         assert np.isclose(struct.max_step(u, d), loop_max_step(struct, u, d), rtol=1e-12)
         assert np.isclose(struct.max_step(u, -d), loop_max_step(struct, u, -d), rtol=1e-12)
         assert np.isclose(struct.margin(d), loop_margin(struct, d), rtol=1e-12)
-        w = NTScaling(struct, u, v)
+        w = nt_scaling(struct, u, v)
         eta, v_all = loop_scaling_point(struct, u, v)
         assert np.allclose(w.eta, eta, rtol=1e-12)
         assert np.allclose(w.v_all, v_all, rtol=1e-12, atol=1e-14)

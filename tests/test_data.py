@@ -167,6 +167,11 @@ class TestPanelCsv:
         assert back.tickers == panel.tickers
         assert np.array_equal(back.prices, panel.prices)
 
+    def test_infinite_price_rejected(self):
+        panel = io.StringIO("date,SPY,AGG\n2020-01-10,300.5,110.25\n2020-01-17,inf,110.5\n")
+        with pytest.raises(ValueError, match="all prices must be finite and positive"):
+            panel_from_csv(panel)
+
     def test_matches_golden_file(self):
         golden = "tests/data/golden_panel.csv"
         panel = panel_from_csv(golden)
@@ -187,6 +192,11 @@ class TestWeeklyPanelInvariants:
         with pytest.raises(ValueError, match="positive"):
             WeeklyPanel(dates=(date(2020, 1, 10),), tickers=("A",),
                         prices=np.array([[0.0]]))
+
+    def test_rejects_infinite_prices(self):
+        with pytest.raises(ValueError, match="finite"):
+            WeeklyPanel(dates=(date(2020, 1, 10),), tickers=("A",),
+                        prices=np.array([[np.inf]]))
 
     def test_rejects_shape_mismatch(self):
         with pytest.raises(ValueError, match="shape"):

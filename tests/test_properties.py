@@ -203,22 +203,25 @@ def test_unbounded_program_has_a_recession_ray(blocks, extra, seed):
 @PROPERTY
 @given(blocks=layouts())
 def test_structure_matches_a_row_walk(blocks):
+    # canonical order: every NonNeg row in program order, then every
+    # SecondOrder block in program order, contiguous at the end
     struct = ConeStructure(blocks)
     kinds = [type(blk) for blk in blocks for _ in range(blk.dim)]
     assert list(struct.zero_rows) == [i for i, k in enumerate(kinds) if k is Zero]
-    assert list(struct.cone_rows) == [i for i, k in enumerate(kinds) if k is not Zero]
-    cone_kinds = [k for k in kinds if k is not Zero]
-    assert struct.dim == len(cone_kinds)
-    assert list(struct.nn_idx) == [i for i, k in enumerate(cone_kinds) if k is NonNeg]
-    pos, soc = 0, []
+    nonneg = [i for i, k in enumerate(kinds) if k is NonNeg]
+    pos, row, soc, soc_rows = len(nonneg), 0, [], []
     for blk in blocks:
         if isinstance(blk, SecondOrder):
             soc.append((pos, pos + blk.dim))
-        if not isinstance(blk, Zero):
+            soc_rows.extend(range(row, row + blk.dim))
             pos += blk.dim
+        row += blk.dim
+    assert list(struct.cone_rows) == nonneg + soc_rows
+    assert struct.dim == len(nonneg) + len(soc_rows)
+    assert list(struct.nn_idx) == list(range(len(nonneg)))
     assert struct.soc_slices == soc
     assert list(struct.soc_starts) == [lo for lo, _ in soc]
-    assert struct.degree == len(struct.nn_idx) + len(soc)
+    assert struct.degree == len(nonneg) + len(soc)
     for k, (lo, hi) in enumerate(soc):
         assert (struct.block[lo:hi] == k).all()
 

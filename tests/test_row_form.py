@@ -7,9 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from allocation_oracle import dense_program
-from test_cones import full_gram
+from test_cones import full_gram, nt_scaling
 from riskbudget.allocation import AllocationProblem, build_program
-from riskbudget.cones import ConeStructure, GramPlan, NTScaling, Zero
+from riskbudget.cones import ConeStructure, GramPlan
 from riskbudget.solver import RowMatrix
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -35,15 +35,6 @@ def problems(draw):
                              forecasts=rng.normal(0.0, 0.01, n), lam=lam, mu=mu,
                              prev_weights=rng.dirichlet(np.ones(n)),
                              lower=rng.uniform(0.0, 0.2 / n, n), upper=upper)
-
-
-def cone_rows(cones):
-    keep, pos = [], 0
-    for blk in cones:
-        if not isinstance(blk, Zero):
-            keep.extend(range(pos, pos + blk.dim))
-        pos += blk.dim
-    return np.asarray(keep, dtype=int)
 
 
 def interior(struct, rng):
@@ -85,9 +76,9 @@ def test_products_and_row_norms_match_dense(problem, seed):
 def test_gram_matches_dense(problem, seed):
     rng = np.random.default_rng(seed)
     _, a, _, cones = dense_program(problem)
-    keep = cone_rows(cones)
     struct = ConeStructure(cones)
-    w = NTScaling(struct, interior(struct, rng), interior(struct, rng))
+    keep = struct.cone_rows
+    w = nt_scaling(struct, interior(struct, rng), interior(struct, rng))
     aeq = np.delete(a, keep, axis=0)
     h = full_gram(w, GramPlan(struct, build_program(problem).A.take(keep), aeq))
     g = a[keep]

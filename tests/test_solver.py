@@ -7,12 +7,12 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from test_cones import random_interior
+from test_cones import nt_scaling, random_interior
 
 from riskbudget import solver as solver_module
 from riskbudget.allocation import AllocationProblem, build_program, problem_from_json
 from riskbudget.backtest import DEFAULT_SOLVER_OPTIONS
-from riskbudget.cones import GramPlan, NonNeg, NTScaling, SecondOrder, Zero
+from riskbudget.cones import ConeStructure, GramPlan, NonNeg, NTScaling, SecondOrder, Zero
 from riskbudget.solver import (
     ConeProgram,
     ProgramValidationError,
@@ -312,7 +312,7 @@ def _kkt(prog, seed=9):
     aeq = prog.A.take(struct.zero_rows).toarray()
     g = prog.A.take(struct.cone_rows)
     rng = np.random.default_rng(seed)
-    w = NTScaling(struct, random_interior(struct, rng), random_interior(struct, rng))
+    w = nt_scaling(struct, random_interior(struct, rng), random_interior(struct, rng))
     kkt = solver_module._KKT(GramPlan(struct, g, aeq), aeq, g, w, 2)
     rhs = (rng.standard_normal(g.shape[1]), rng.standard_normal(aeq.shape[0]),
            rng.standard_normal(struct.dim))
@@ -460,6 +460,49 @@ def test_polish_stops_at_the_roundoff_floor():
     sol = solve(prog)
     assert sol.status is SolveStatus.Optimal
     assert sol.iterations <= 10
+
+
+def test_any_row_order_solves_as_the_canonical_one():
+    # SecondOrder blocks ahead of NonNeg rows, and a Zero row last; the
+    # structure solves over NonNeg rows first, then the SecondOrder blocks
+    b = Builder(3)
+    b.soc([[0.0, 0.0, 0.0], [-1.0, 0.0, 0.0], [0.0, -1.0, 0.0]], [2.0, 0.0, 0.0])
+    b.leq(np.eye(3)[:2], [1.0, 1.0])
+    b.soc([[-1.0, 0.0, 0.0], [0.0, 0.0, -1.0]], [1.0, -0.5])
+    b.leq([[0.0, 0.0, -1.0]], 0.0)
+    b.eq([np.ones(3)], 1.0)
+    scrambled = b.program([-1.0, 0.5, 0.3])
+    assert [type(blk) for blk in scrambled.cones] == [SecondOrder, NonNeg, SecondOrder, NonNeg, Zero]
+    # the Zero row, the NonNeg rows, then the two SecondOrder blocks
+    order = np.array([8, 3, 4, 7, 0, 1, 2, 5, 6])
+    canonical = ConeProgram(c=scrambled.c, A=np.asarray(scrambled.A)[order], b=scrambled.b[order],
+                            cones=(Zero(1), NonNeg(3), SecondOrder(3), SecondOrder(2)))
+    one, other = solve(scrambled), solve(canonical)
+    assert one.status is other.status is SolveStatus.Optimal
+    assert np.abs(one.primal - other.primal).max() <= 1e-9
+    for name in ("dual", "slack"):
+        mapped = np.empty(order.size)
+        mapped[order] = getattr(other, name)
+        assert np.abs(getattr(one, name) - mapped).max() <= 1e-9, name
+
+
+def test_a_solve_builds_no_cone_structure_of_its_own(monkeypatch):
+    # the program's one structure serves the scaling and the steps of s
+    # and z alike, and a second solve of the program builds none
+    built = []
+    real = ConeStructure.__init__
+
+    def counting(self, blocks):
+        built.append(None)
+        real(self, blocks)
+
+    monkeypatch.setattr(ConeStructure, "__init__", counting)
+    for _, prog, _ in battery():
+        built.clear()
+        solve(prog)
+        assert len(built) == 1
+        solve(prog)
+        assert len(built) == 1
 
 
 class TestValidate:
