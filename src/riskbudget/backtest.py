@@ -31,7 +31,7 @@ import numpy as np
 
 from .allocation import (AllocationError, AllocationProblem, float_array, portfolio_sd,
                          require_number, solve_allocation)
-from .data import ParseError, WeeklyPanel, _opened, returns as panel_returns
+from .data import ParseError, WeeklyPanel, _opened, _read_rows, returns as panel_returns
 from .linalg import NotPositiveDefinite, covariance, psd_from_eig, symmetric_eig
 from .solver import SolverOptions
 
@@ -380,44 +380,27 @@ def ledger_from_csv(source, strategy: str = "") -> BacktestLedger:
         if header[:2] != ["date", "value"] or header[-4:] != ["leverage", "cost", "turnover", "abstained"]:
             raise ParseError(f"unrecognized ledger header {header!r}", line=1)
         tickers = tuple(c[2:] for c in header[2:-4])
-        dates, weights, values, levs, costs, turns, abst = [], [], [], [], [], [], []
-        for lineno, raw in enumerate(fh, start=2):
-            if not raw.strip():
-                continue
-            parts = raw.strip().split(",")
-            if len(parts) != len(header):
-                raise ParseError(f"expected {len(header)} columns, got {len(parts)}", line=lineno)
-            if parts[-1] not in ("True", "False"):
-                raise ParseError(f"abstained must be True or False, got {parts[-1]!r}", line=lineno)
-            try:
-                day = date.fromisoformat(parts[0])
-                nums = np.array([float(v) for v in parts[1:-1]])
-            except ValueError as exc:
-                raise ParseError(str(exc), line=lineno) from None
-            bad = np.flatnonzero(~np.isfinite(nums))
-            if bad.size:
-                col = 1 + bad[0]
-                raise ParseError(f"{header[col]} must be a finite number, got {parts[col]!r}", line=lineno)
-            values.append(nums[0])
-            weights.append(nums[1:-3])
-            levs.append(nums[-3])
-            costs.append(nums[-2])
-            turns.append(nums[-1])
+        dates, rows, abst = [], [], []
+        for line, cells, day, nums in _read_rows(fh, header, slice(1, -1)):
+            if cells[-1] not in ("True", "False"):
+                raise ParseError(f"abstained must be True or False, got {cells[-1]!r}", line=line)
             if dates and day <= dates[-1]:
-                raise ParseError(f"date {day} is not later than {dates[-1]}", line=lineno)
+                raise ParseError(f"date {day} is not later than {dates[-1]}", line=line)
             dates.append(day)
-            abst.append(parts[-1] == "True")
+            rows.append(nums)
+            abst.append(cells[-1] == "True")
     if not dates:
         raise ParseError("ledger has no rows")
+    nums = np.array(rows)
     return BacktestLedger(
         strategy=strategy,
         tickers=tickers,
         dates=tuple(dates),
-        weights=np.array(weights),
+        weights=nums[:, 1:-3],
         fill_prices=None,
-        values=np.array(values),
-        leverage=np.array(levs),
-        costs=np.array(costs),
-        turnover=np.array(turns),
+        values=nums[:, 0],
+        leverage=nums[:, -3],
+        costs=nums[:, -2],
+        turnover=nums[:, -1],
         abstained=np.array(abst, dtype=bool),
     )

@@ -11,6 +11,7 @@ holes. Simple returns feed the covariance and momentum machinery.
 from __future__ import annotations
 
 import contextlib
+import math
 import os
 from dataclasses import dataclass
 from datetime import date
@@ -30,7 +31,7 @@ __all__ = [
 ]
 
 
-class ParseError(Exception):
+class ParseError(ValueError):
     """CSV defect; carries the 1-based line number when known."""
 
     def __init__(self, message: str, line: int | None = None):
@@ -93,6 +94,36 @@ def _opened(target, mode: str = "r"):
             yield fh
 
 
+def _read_rows(fh, columns: list[str], numeric: slice):
+    """Yield ``(line, cells, day, numbers)`` for each non-blank row left in
+    ``fh`` (the header already read, so rows start at line 2): the stripped
+    cells, the first cell as an ISO date, and the cells at ``numeric`` as
+    floats. A row whose width is not ``len(columns)``, a bad date, or a
+    number that does not parse or is not finite raises :class:`ParseError`
+    with its line, naming the value (and, for a number, its column)."""
+    names = columns[numeric]
+    for line, raw in enumerate(fh, start=2):
+        if not raw.strip():
+            continue
+        cells = [c.strip() for c in raw.split(",")]
+        if len(cells) != len(columns):
+            raise ParseError(f"expected {len(columns)} columns, got {len(cells)}", line=line)
+        try:
+            day = date.fromisoformat(cells[0])
+        except ValueError:
+            raise ParseError(f"bad date {cells[0]!r}", line=line) from None
+        numbers = []
+        for name, cell in zip(names, cells[numeric]):
+            try:
+                x = float(cell)
+            except ValueError:
+                x = math.nan
+            if not math.isfinite(x):
+                raise ParseError(f"{name} must be a finite number, got {cell!r}", line=line)
+            numbers.append(x)
+        yield line, cells, day, numbers
+
+
 def load_csv(source, ticker: str | None = None) -> dict[str, PriceSeries]:
     """Parse daily close prices from CSV.
 
@@ -123,26 +154,12 @@ def load_csv(source, ticker: str | None = None) -> dict[str, PriceSeries]:
 
         rows: dict[str, list[tuple[date, float]]] = {}
         seen: set[tuple[str, date]] = set()
-        for lineno, raw in enumerate(fh, start=2):
-            if not raw.strip():
-                continue
-            parts = [p.strip() for p in raw.strip().split(",")]
-            if len(parts) != (3 if long_format else 2):
-                raise ParseError(f"expected {3 if long_format else 2} columns, got {len(parts)}",
-                                 line=lineno)
-            try:
-                day = date.fromisoformat(parts[0])
-            except ValueError:
-                raise ParseError(f"bad date {parts[0]!r}", line=lineno) from None
-            name = parts[1] if long_format else ticker
-            try:
-                close = float(parts[-1])
-            except ValueError:
-                raise ParseError(f"bad price {parts[-1]!r}", line=lineno) from None
-            if not np.isfinite(close) or close <= 0:
-                raise ParseError(f"non-positive price {parts[-1]!r} for {name}", line=lineno)
+        for line, cells, day, (close,) in _read_rows(fh, cols, slice(-1, None)):
+            name = cells[1] if long_format else ticker
+            if close <= 0:
+                raise ParseError(f"non-positive price {cells[-1]!r} for {name}", line=line)
             if (name, day) in seen:
-                raise ParseError(f"duplicate row for {name} on {day.isoformat()}", line=lineno)
+                raise ParseError(f"duplicate row for {name} on {day.isoformat()}", line=line)
             seen.add((name, day))
             rows.setdefault(name, []).append((day, close))
 
@@ -204,26 +221,25 @@ def panel_to_csv(panel: WeeklyPanel, destination) -> None:
 
 
 def panel_from_csv(source) -> WeeklyPanel:
-    """Read the wide format written by :func:`panel_to_csv` (bit-exact)."""
+    """Read the wide format written by :func:`panel_to_csv` (bit-exact).
+
+    Besides the row checks of the other readers, a price that is not
+    positive or a date not later than the row before it raises
+    :class:`ParseError` with its line."""
     with _opened(source) as fh:
         header = fh.readline().strip()
-        cols = header.split(",")
-        if len(cols) < 2 or cols[0].strip().lower() != "date":
+        cols = [c.strip() for c in header.split(",")]
+        if len(cols) < 2 or cols[0].lower() != "date":
             raise ParseError(f"unrecognized panel header {header!r}", line=1)
-        tickers = tuple(c.strip() for c in cols[1:])
         dates, rows = [], []
-        for lineno, raw in enumerate(fh, start=2):
-            if not raw.strip():
-                continue
-            parts = raw.strip().split(",")
-            if len(parts) != len(tickers) + 1:
-                raise ParseError(f"expected {len(tickers) + 1} columns, got {len(parts)}",
-                                 line=lineno)
-            try:
-                dates.append(date.fromisoformat(parts[0]))
-                rows.append([float(v) for v in parts[1:]])
-            except ValueError as exc:
-                raise ParseError(str(exc), line=lineno) from None
+        for line, cells, day, prices in _read_rows(fh, cols, slice(1, None)):
+            for ticker, cell, price in zip(cols[1:], cells[1:], prices):
+                if price <= 0:
+                    raise ParseError(f"non-positive price {cell!r} for {ticker}", line=line)
+            if dates and day <= dates[-1]:
+                raise ParseError(f"date {day} is not later than {dates[-1]}", line=line)
+            dates.append(day)
+            rows.append(prices)
     if not rows:
         raise ParseError("no data rows found")
-    return WeeklyPanel(dates=tuple(dates), tickers=tickers, prices=np.array(rows))
+    return WeeklyPanel(dates=tuple(dates), tickers=tuple(cols[1:]), prices=np.array(rows))

@@ -497,7 +497,7 @@ class TestLedgerCsv:
     @pytest.mark.parametrize("row, message", [
         ("2021-01-15,1.0,0.5,1.0,0.0,0.0,False", "line 3: expected 8 columns, got 7"),
         ("2021-01-15,1.0,0.5,0.5,1.0,0.0,0.0,yes", "line 3: abstained must be True or False"),
-        ("2021-01-15,1.0,0.5,x,1.0,0.0,0.0,False", "line 3: could not convert"),
+        ("2021-01-15,1.0,0.5,x,1.0,0.0,0.0,False", "line 3: w_B must be a finite number, got 'x'"),
         ("2021-01-08,1.0,0.5,0.5,1.0,0.0,0.0,False", "line 3: date 2021-01-08 is not later than 2021-01-08"),
         ("2021-01-01,1.0,0.5,0.5,1.0,0.0,0.0,False", "line 3: date 2021-01-01 is not later than 2021-01-08"),
         ("2021-01-15,1.0,0.5,inf,1.0,0.0,0.0,False", "line 3: w_B must be a finite number, got 'inf'"),

@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from riskbudget.backtest import ledger_from_csv
 from riskbudget.data import (
     EmptyIntersection,
     ParseError,
@@ -169,7 +170,7 @@ class TestPanelCsv:
 
     def test_infinite_price_rejected(self):
         panel = io.StringIO("date,SPY,AGG\n2020-01-10,300.5,110.25\n2020-01-17,inf,110.5\n")
-        with pytest.raises(ValueError, match="all prices must be finite and positive"):
+        with pytest.raises(ParseError, match="^line 3: SPY must be a finite number, got 'inf'$"):
             panel_from_csv(panel)
 
     def test_matches_golden_file(self):
@@ -180,6 +181,52 @@ class TestPanelCsv:
         buf = io.StringIO()
         panel_to_csv(panel, buf)
         assert buf.getvalue() == Path(golden).read_text()
+
+
+# each reader's header and one valid row; a blank line follows it, so the
+# malformed row under test is line 4
+PRICES = (load_csv, "date,ticker,close", "2020-01-03,A,1.5")
+PANEL = (panel_from_csv, "date,A,B", "2020-01-10,1.5,2.5")
+LEDGER = (ledger_from_csv, "date,value,w_A,w_B,leverage,cost,turnover,abstained",
+          "2021-01-08,1.0,0.5,0.5,1.0,0.0,0.0,False")
+
+
+@pytest.mark.parametrize("reader, header, good, row, message", [
+    pytest.param(*PRICES, "2020/01/06,A,1.5", "bad date '2020/01/06'", id="prices-date"),
+    pytest.param(*PRICES, "2020-01-06,A,1.5.0", "close must be a finite number, got '1.5.0'",
+                 id="prices-number"),
+    pytest.param(*PRICES, "2020-01-06,A,inf", "close must be a finite number, got 'inf'",
+                 id="prices-inf"),
+    pytest.param(*PRICES, "2020-01-06,A,nan", "close must be a finite number, got 'nan'",
+                 id="prices-nan"),
+    pytest.param(*PRICES, "2020-01-06,A", "expected 3 columns, got 2", id="prices-short"),
+    pytest.param(*PANEL, "2020-13-17,1.5,2.5", "bad date '2020-13-17'", id="panel-date"),
+    pytest.param(*PANEL, "2020-01-17,1.5,x", "B must be a finite number, got 'x'", id="panel-number"),
+    pytest.param(*PANEL, "2020-01-17,inf,2.5", "A must be a finite number, got 'inf'", id="panel-inf"),
+    pytest.param(*PANEL, "2020-01-17,1.5,nan", "B must be a finite number, got 'nan'", id="panel-nan"),
+    pytest.param(*PANEL, "2020-01-17,1.5", "expected 3 columns, got 2", id="panel-short"),
+    pytest.param(*PANEL, "2020-01-17,1.5,-1", "non-positive price '-1' for B", id="panel-negative"),
+    pytest.param(*PANEL, "2020-01-17,0,2.5", "non-positive price '0' for A", id="panel-zero"),
+    pytest.param(*PANEL, "2020-01-03,1.5,2.5", "date 2020-01-03 is not later than 2020-01-10",
+                 id="panel-order"),
+    pytest.param(*LEDGER, "2021-1-15,1.0,0.5,0.5,1.0,0.0,0.0,False", "bad date '2021-1-15'",
+                 id="ledger-date"),
+    pytest.param(*LEDGER, "2021-01-15,1.0,0.5,0.5,one,0.0,0.0,False",
+                 "leverage must be a finite number, got 'one'", id="ledger-number"),
+    pytest.param(*LEDGER, "2021-01-15,1.0,0.5,0.5,1.0,-inf,0.0,False",
+                 "cost must be a finite number, got '-inf'", id="ledger-inf"),
+    pytest.param(*LEDGER, "2021-01-15,1.0,0.5,0.5,1.0,0.0,nan,False",
+                 "turnover must be a finite number, got 'nan'", id="ledger-nan"),
+    pytest.param(*LEDGER, "2021-01-15,1.0,0.5,0.5,1.0,0.0,0.0", "expected 8 columns, got 7",
+                 id="ledger-short"),
+])
+def test_malformed_row_names_line_and_value(reader, header, good, row, message):
+    with pytest.raises(ParseError) as exc:
+        reader(io.StringIO(f"{header}\n{good}\n\n{row}\n"))
+    assert exc.value.line == 4
+    assert str(exc.value) == f"line 4: {message}"
+    # a caller that caught the panel's ValueError still catches every row defect
+    assert isinstance(exc.value, ValueError)
 
 
 class TestWeeklyPanelInvariants:

@@ -1,4 +1,4 @@
-"""Property tests of the solve path.
+"""Property tests of the solve path and of the CSV readers.
 
 Programs are built with a known answer: a planted optimum from a
 complementary triple ``(x*, s*, z*)``, an infeasible program from a Farkas
@@ -6,13 +6,18 @@ multiplier and an unbounded one from a recession ray. Each example is a
 seeded draw, so the whole file runs the same examples every time.
 """
 
+import io
+from datetime import date, timedelta
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from riskbudget.allocation import AllocationProblem, solve_allocation
-from riskbudget.backtest import DEFAULT_SOLVER_OPTIONS
+from riskbudget.backtest import DEFAULT_SOLVER_OPTIONS, BacktestLedger, ledger_from_csv, ledger_to_csv
+from riskbudget.data import ParseError, WeeklyPanel, panel_from_csv, panel_to_csv
 from riskbudget.cones import ConeStructure, NonNeg, SecondOrder, Zero
 from riskbudget.solver import ConeProgram, SolveStatus, solve
 
@@ -253,3 +258,60 @@ def test_allocation_is_fully_invested_and_meets_every_floor(n, floors, lam, mu, 
     assert abs(x.sum() - 1.0) <= tol * (1.0 + np.sqrt(1.0 + prev @ prev))
     cone_scale = tol * (1.0 + np.sqrt(lower @ lower + upper @ upper))
     assert floor_residuals(problem.cov, problem.budgets, x).max() <= np.sqrt(2.0) * cone_scale
+
+
+@st.composite
+def written(draw):
+    """A weekly panel or a ledger, the CSV text its writer makes of it, and
+    the reader of that text."""
+    n, k = draw(st.integers(1, 4)), draw(st.integers(1, 5))
+    start = draw(st.dates(date(1900, 1, 1), date(2900, 1, 1)))
+    dates = tuple(start + timedelta(weeks=w) for w in range(k))
+    tickers = tuple(f"T{i}" for i in range(n))
+    buf = io.StringIO()
+    if draw(st.booleans()):
+        positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+        table = WeeklyPanel(dates, tickers, draw(arrays(float, (k, n), elements=positive)))
+        panel_to_csv(table, buf)
+        return table, buf.getvalue(), panel_from_csv
+    nums = draw(arrays(float, (k, n + 4), elements=st.floats(allow_nan=False, allow_infinity=False)))
+    table = BacktestLedger(strategy="", tickers=tickers, dates=dates, weights=nums[:, 1:-3],
+                           fill_prices=None, values=nums[:, 0], leverage=nums[:, -3],
+                           costs=nums[:, -2], turnover=nums[:, -1], abstained=draw(arrays(bool, k)))
+    ledger_to_csv(table, buf)
+    return table, buf.getvalue(), ledger_from_csv
+
+
+def held(table):
+    """What a CSV file holds of a panel or a ledger, arrays as raw bytes."""
+    if isinstance(table, WeeklyPanel):
+        data = [table.prices]
+    else:
+        data = [table.values, table.weights, table.leverage, table.costs, table.turnover,
+                table.abstained]
+    return table.dates, table.tickers, [(a.shape, a.tobytes()) for a in data]
+
+
+@PROPERTY
+@given(file=written())
+def test_written_file_reads_back_bit_exactly(file):
+    table, text, reader = file
+    assert held(reader(io.StringIO(text))) == held(table)
+
+
+@PROPERTY
+@given(file=written(), bad=st.sampled_from(["x", "inf", "nan"]), data=st.data())
+def test_a_bad_cell_names_its_line_and_column(file, bad, data):
+    _, text, reader = file
+    lines = text.splitlines()
+    header = lines[0].split(",")
+    row = data.draw(st.integers(1, len(lines) - 1))
+    col = data.draw(st.integers(0, len(header) - 1))
+    cells = lines[row].split(",")
+    cells[col] = bad
+    lines[row] = ",".join(cells)
+    with pytest.raises(ParseError) as exc:
+        reader(io.StringIO("\n".join(lines) + "\n"))
+    assert exc.value.line == row + 1
+    message = str(exc.value)
+    assert message.startswith(f"line {row + 1}: ") and repr(bad) in message and header[col] in message
