@@ -31,7 +31,7 @@ import numpy as np
 
 from .allocation import (AllocationError, AllocationProblem, float_array, portfolio_sd,
                          require_number, solve_allocation)
-from .data import ParseError, WeeklyPanel, _opened, _read_rows, returns as panel_returns
+from .data import ParseError, WeeklyPanel, _header_tickers, _opened, _read_rows, returns as panel_returns
 from .linalg import NotPositiveDefinite, covariance, psd_from_eig, symmetric_eig
 from .solver import SolverOptions
 
@@ -372,14 +372,15 @@ def ledger_to_csv(ledger: BacktestLedger, destination) -> None:
 def ledger_from_csv(source, strategy: str = "") -> BacktestLedger:
     """Rebuild a ledger from :func:`ledger_to_csv` output (prices excluded).
 
-    A malformed row, a number that is not finite, or a date not later than
+    A weight column not named ``w_<ticker>`` or naming a ticker twice, a
+    malformed row, a number that is not finite, or a date not later than
     the row before it, raises :class:`ParseError` with its line number; so
     does a ledger without rows."""
     with _opened(source) as fh:
         header = fh.readline().strip().split(",")
         if header[:2] != ["date", "value"] or header[-4:] != ["leverage", "cost", "turnover", "abstained"]:
             raise ParseError(f"unrecognized ledger header {header!r}", line=1)
-        tickers = tuple(c[2:] for c in header[2:-4])
+        tickers = _header_tickers(header[2:-4], "w_")
         dates, rows, abst = [], [], []
         for line, cells, day, nums in _read_rows(fh, header, slice(1, -1)):
             if cells[-1] not in ("True", "False"):

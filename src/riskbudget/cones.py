@@ -54,14 +54,15 @@ class ConeStructure:
     the program's row order of the Zero rows and of the cone rows in that
     canonical order, so ``A[cone_rows]`` lists the cone rows as the solver
     works on them. Every other position is relative to the canonical cone
-    rows, where the SecondOrder blocks lie contiguous at the end.
-    Per-block quantities are segmented sums (``np.add.reduceat`` at the
-    block starts) with 0/1 and sign masks that vanish off the second-order
-    rows, so no operation loops over blocks in Python. ``jdot``,
-    ``max_step`` and ``margin`` reduce over the last axis, so on the stack
-    ``[s; z]`` of shape ``(2, dim)`` one pass gives, bit for bit, the
-    per-block values, step lengths and margins of ``s`` and ``z`` taken one
-    at a time.
+    rows: the ``nnn`` NonNeg rows are the prefix ``[:nnn]`` of every cone
+    vector and the SecondOrder blocks lie contiguous in the suffix
+    ``[nnn:]``, starting at ``soc_starts``. The per-row arrays ``jsign``
+    and ``block`` cover the suffix only, and per-block quantities are
+    segmented sums over it (``np.add.reduceat`` at the block starts),
+    so no operation loops over blocks in Python. ``jdot``, ``max_step``
+    and ``margin`` reduce over the last axis, so on the stack ``[s; z]`` of
+    shape ``(2, dim)`` one pass gives, bit for bit, the per-block values,
+    step lengths and margins of ``s`` and ``z`` taken one at a time.
     """
 
     def __init__(self, blocks):
@@ -75,98 +76,77 @@ class ConeStructure:
         nzero = np.count_nonzero(row_kind == 0)
         self.zero_rows, self.cone_rows = order[:nzero], order[nzero:]
         self.dim = self.cone_rows.size
-        nnn = np.count_nonzero(row_kind == 1)
-        self.nn_idx = np.arange(nnn)
+        self.nnn = nnn = np.count_nonzero(row_kind == 1)
         soc_dims = dims[kinds == 2]
-        self.soc_starts = nnn + np.cumsum(soc_dims) - soc_dims
+        # block starts within the suffix, and within the whole cone vector
+        self._starts = np.cumsum(soc_dims) - soc_dims
+        self.soc_starts = nnn + self._starts
         self.soc_slices = list(zip(self.soc_starts.tolist(), (self.soc_starts + soc_dims).tolist()))
         # barrier degree: 1 per nonneg component, 1 per second-order block
         self.degree = nnn + soc_dims.size
 
-        self.soc_rows = np.arange(nnn, self.dim)
-        # J = diag(1, -I) per second-order block, 0 on nonneg rows
-        self.jsign = np.zeros(self.dim)
-        self.jsign[nnn:] = -1.0
-        self.jsign[self.soc_starts] = 1.0
-        self.tail = self.jsign < 0
-        self._tailf = self.tail.astype(float)
-        # block number of each second-order row (0 on nonneg rows, which
-        # every use masks out)
-        self.block = np.zeros(self.dim, dtype=int)
-        self.block[nnn:] = np.repeat(np.arange(soc_dims.size), soc_dims)
-        # -J on second-order rows extended by 1 on nonneg rows, so that
-        # w (2 v v'u - J u) with v = 0 there is W u on every row
-        self.negj = -self.jsign
-        self.negj[:nnn] = 1.0
-        # row of each row's block head (nonneg rows point at themselves)
-        self._head = np.arange(self.dim)
-        self._head[nnn:] = np.repeat(self.soc_starts, soc_dims)
+        # J = diag(1, -I) per second-order block
+        self.jsign = np.full(self.dim - nnn, -1.0)
+        self.jsign[self._starts] = 1.0
+        self._tailf = (self.jsign < 0).astype(float)
+        # block number, and row of the block head, of each second-order row
+        self.block = np.repeat(np.arange(soc_dims.size), soc_dims)
+        self._head = self._starts[self.block]
+        # 1 on nonneg rows and -J on second-order rows, so that
+        # w (2 v v'u - J u) is W u on every row
+        self.negj = np.concatenate([np.ones(nnn), -self.jsign])
 
     def blocksum(self, u: np.ndarray) -> np.ndarray:
-        """Per second-order block sums of ``u`` over its last axis (the
-        nonneg rows, ahead of the first block, are left out)."""
-        return np.add.reduceat(u, self.soc_starts, axis=-1)
+        """Per second-order block sums of the suffix ``u`` over its last axis."""
+        return np.add.reduceat(u, self._starts, axis=-1)
 
     def jdot(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         """Per second-order block ``u0 v0 - u1'v1``."""
-        return self.blocksum(self.jsign * u * v)
+        return self.blocksum(self.jsign * u[..., self.nnn :] * v[..., self.nnn :])
 
     def tail_dot(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         """Per second-order block ``u1'v1``."""
-        return self.blocksum(self._tailf * u * v)
+        return self.blocksum(self._tailf * u[..., self.nnn :] * v[..., self.nnn :])
 
     def identity(self) -> np.ndarray:
-        e = np.zeros(self.dim)
-        e[self.nn_idx] = 1.0
-        e[self.soc_starts] = 1.0
-        return e
+        """1 on the nonneg rows and the block heads, 0 elsewhere."""
+        return np.concatenate([np.ones(self.nnn), self.jsign > 0])
 
     def margin(self, u: np.ndarray) -> float:
         """Smallest distance of ``u`` from every block boundary (can be < 0),
         over every row of a stack."""
-        m = np.inf
-        if self.nn_idx.size:
-            m = min(m, float(u[..., self.nn_idx].min()))
-        if self.soc_starts.size:
-            tails = np.sqrt(self.tail_dot(u, u))
-            m = min(m, float((u[..., self.soc_starts] - tails).min()))
-        return m
+        tails = np.sqrt(self.tail_dot(u, u))
+        return float(min(u[..., : self.nnn].min(initial=np.inf),
+                         (u[..., self.soc_starts] - tails).min(initial=np.inf)))
 
     def prod(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         """Jordan product u o v, blockwise."""
+        n, head, starts = self.nnn, self._head, self.soc_starts
+        us, vs = u[n:], v[n:]
         out = u * v
-        if self.soc_starts.size:
-            head = self._head
-            out = np.where(self.tail, u[head] * v + v[head] * u, out)
-            out[self.soc_starts] += self.tail_dot(u, v)
+        out[n:] = us[head] * vs + vs[head] * us
+        out[starts] = u[starts] * v[starts] + self.tail_dot(u, v)
         return out
 
     def div(self, lmbda: np.ndarray, d: np.ndarray) -> np.ndarray:
         """Solve lmbda o w = d for w, blockwise."""
-        out = np.empty(self.dim)
-        out[self.nn_idx] = d[self.nn_idx] / lmbda[self.nn_idx]
-        if self.soc_starts.size:
-            blk, rows = self.block, self.soc_rows
-            w0 = self.jdot(lmbda, d) / self.jdot(lmbda, lmbda)
-            l0 = lmbda[self.soc_starts]
-            out[rows] = ((d - w0[blk] * lmbda) / l0[blk])[rows]
-            out[self.soc_starts] = w0
-        return out
+        n, blk = self.nnn, self.block
+        w0 = self.jdot(lmbda, d) / self.jdot(lmbda, lmbda)
+        soc = (d[n:] - w0[blk] * lmbda[n:]) / lmbda[self.soc_starts][blk]
+        soc[self._starts] = w0
+        return np.concatenate([d[:n] / lmbda[:n], soc])
 
     def max_step(self, u: np.ndarray, du: np.ndarray, uu: np.ndarray | None = None) -> float:
         """Largest alpha >= 0 with u + alpha*du in the cone (u interior),
         for every row of a stack at once; ``uu`` is ``jdot(u, u)`` when the
         caller has it already."""
         alpha = np.inf
-        if self.nn_idx.size:
-            un, dn = u[..., self.nn_idx], du[..., self.nn_idx]
-            neg = dn < 0
-            if neg.any():
-                alpha = min(alpha, float((-un[neg] / dn[neg]).min()))
-        if self.soc_starts.size:
-            alpha = min(alpha, _soc_max_step(self.jdot(du, du), 2.0 * self.jdot(u, du),
-                                             self.jdot(u, u) if uu is None else uu))
-        return alpha
+        un, dn = u[..., : self.nnn], du[..., : self.nnn]
+        neg = dn < 0
+        if neg.any():
+            alpha = float((-un[neg] / dn[neg]).min())
+        return min(alpha, _soc_max_step(self.jdot(du, du), 2.0 * self.jdot(u, du),
+                                        self.jdot(u, u) if uu is None else uu))
 
 
 def _soc_max_step(a, b, c) -> float:
@@ -193,8 +173,9 @@ class NTScaling:
     (eta, v) representation of W = eta * (2 v v' - J), with v'Jv = 1 and
     J = diag(1, -I). Per-block data is stored stacked so that products
     vectorize across blocks via segmented reductions: ``w`` holds w or eta
-    per row, and ``v_all`` is zero on nonneg rows, so each of W, W^-1, W^2
-    and W^-2 is one expression over all rows. Since det v = v'Jv = 1, the
+    per row, and ``v`` holds each block's v in turn over the second-order
+    suffix, so each of W, W^-1, W^2 and W^-2 is a scaling of every row
+    plus one expression over the suffix. Since det v = v'Jv = 1, the
     quadratic-representation identity P(v)^2 = P(v o v) gives
     W^2 = eta^2 (2 (v o v)(v o v)' - J) and, with (v o v)^-1 = J(v o v),
     W^-2 = eta^-2 (2 J(v o v) (J(v o v))' - J): the same one-vector form as
@@ -207,55 +188,45 @@ class NTScaling:
 
     def __init__(self, struct: ConeStructure, s: np.ndarray, z: np.ndarray, dets: np.ndarray):
         self.struct = struct
-        self.eta = np.zeros(struct.soc_starts.size)
-        self.vtv = np.zeros(struct.soc_starts.size)
-        self.v_all = np.zeros(struct.dim)  # concatenated v per block, zero elsewhere
-        self.vsq = np.zeros(struct.dim)  # the Jordan square v o v, likewise
-        if struct.soc_starts.size:
-            blk, starts = struct.block, struct.soc_starts
-            ds, dz = np.sqrt(dets)
-            sb = s / ds[blk]
-            zb = z / dz[blk]
-            gamma = np.sqrt(0.5 * (1.0 + sb[starts] * zb[starts] + struct.tail_dot(sb, zb)))
-            wb = (sb + struct.jsign * zb) / (2.0 * gamma[blk])
-            # v is the Jordan square root of the unit-determinant point wb,
-            # so that W = eta (2 v v' - J) satisfies W^2 z = s exactly
-            v0 = np.sqrt(0.5 * (wb[starts] + 1.0))
-            v = np.where(struct.tail, wb / (2.0 * v0[blk]), v0[blk])
-            self.v_all[struct.soc_rows] = v[struct.soc_rows]
-            self.eta = np.sqrt(ds / dz)
-            self.vtv = struct.blocksum(self.v_all * self.v_all)
-            # v o v = (v'v, 2 v0 v1) per block
-            self.vsq = 2.0 * v0[blk] * self.v_all
-            self.vsq[starts] = self.vtv
-        nn = struct.nn_idx
-        self.w = np.empty(struct.dim)
-        self.w[nn] = np.sqrt(s[nn] / z[nn])
-        self.w[struct.soc_rows] = self.eta[struct.block[struct.soc_rows]]
+        n, blk, starts = struct.nnn, struct.block, struct._starts
+        ds, dz = np.sqrt(dets)
+        sb = s[n:] / ds[blk]
+        zb = z[n:] / dz[blk]
+        gamma = np.sqrt(0.5 * (1.0 + sb[starts] * zb[starts] + struct.blocksum(struct._tailf * sb * zb)))
+        wb = (sb + struct.jsign * zb) / (2.0 * gamma[blk])
+        # v is the Jordan square root of the unit-determinant point wb, so
+        # that W = eta (2 v v' - J) satisfies W^2 z = s exactly
+        v0 = np.sqrt(0.5 * (wb[starts] + 1.0))
+        self.v = wb / (2.0 * v0[blk])
+        self.v[starts] = v0
+        self.eta = np.sqrt(ds / dz)
+        self.vtv = struct.blocksum(self.v * self.v)
+        # v o v = (v'v, 2 v0 v1) per block
+        self.vsq = 2.0 * v0[blk] * self.v
+        self.vsq[starts] = self.vtv
+        self.w = np.concatenate([np.sqrt(s[:n] / z[:n]), self.eta[blk]])
         self.w_inv = 1.0 / self.w
         self.w_sq = self.w * self.w
         self.w_inv_sq = 1.0 / self.w_sq
-        self._jv_all = struct.jsign * self.v_all
-        self._jvsq = struct.jsign * self.vsq
+        self._jv, self._jvsq = struct.jsign * self.v, struct.jsign * self.vsq
         self.lmbda = self.apply(z)
 
     def _scale(self, u, vec, factor):
         # factor * (2 vec (vec'u) - J u) per block: W with (v, w), W^-1 with
-        # (Jv, 1/w), W^2 with (v o v, w^2) and W^-2 with (J(v o v), 1/w^2);
-        # vec vanishes on nonneg rows, leaving factor * u
+        # (Jv, 1/w), W^2 with (v o v, w^2) and W^-2 with (J(v o v), 1/w^2),
+        # each vec over the second-order suffix; nonneg rows get factor * u
         st = self.struct
         out = st.negj * u
-        if self.eta.size:
-            out += vec * (2.0 * st.blocksum(vec * u))[st.block]
+        out[st.nnn :] += vec * (2.0 * st.blocksum(vec * u[st.nnn :]))[st.block]
         return factor * out
 
     def apply(self, u: np.ndarray) -> np.ndarray:
         """W u."""
-        return self._scale(u, self.v_all, self.w)
+        return self._scale(u, self.v, self.w)
 
     def apply_inv(self, u: np.ndarray) -> np.ndarray:
         """W^{-1} u."""
-        return self._scale(u, self._jv_all, self.w_inv)
+        return self._scale(u, self._jv, self.w_inv)
 
     def apply_sq(self, u: np.ndarray) -> np.ndarray:
         """W^2 u, as eta^2 (2 (v o v)(v o v)' - J) u."""
@@ -267,7 +238,8 @@ class NTScaling:
 
     def gram(self, plan: GramPlan) -> tuple[np.ndarray, np.ndarray]:
         """H = G' W^{-2} G for the cone rows G = diag(scale) K[idx], as the
-        pair (H on ``plan.kept``, its diagonal on ``plan.elim``).
+        pair (H on the kept columns ``[:plan.k]``, its diagonal on the
+        eliminated ones ``[plan.k:]``).
 
         W^{-2} is a positive diagonal D plus, per SecondOrder block, the
         rank-two term ``(4 (v'v) Jv (Jv)' - 2 Jv v' - 2 v (Jv)') / eta^2``.
@@ -280,9 +252,9 @@ class NTScaling:
         No matrix with a row per row of G, or over all columns, is formed.
         """
         st = self.struct
-        n = plan.kept.size
+        n = plan.k
         weight = np.bincount(plan.idx, plan.scale_sq * self.w_inv_sq, minlength=plan.nrows)
-        diag = np.bincount(plan.single_pos, weight[plan.single] * plan.single_sq,
+        diag = np.bincount(plan.single_col, weight[plan.single] * plan.single_sq,
                            minlength=plan.ncols)
         h = np.zeros((n, n))
         h.flat[:: n + 1] = diag[:n]
@@ -292,10 +264,9 @@ class NTScaling:
         h[plan.multi_ix] += root.T @ root
         k = self.eta.size
         if k:
-            rows = st.soc_rows
             gathered = np.bincount(plan.cell,
-                                   np.concatenate([plan.soc_scale * self._jv_all[rows],
-                                                   plan.soc_scale * self.v_all[rows]]),
+                                   np.concatenate([plan.soc_scale * self._jv,
+                                                   plan.soc_scale * self.v]),
                                    minlength=plan.soc_k.shape[0] * 2 * k)
             ab = plan.soc_k.T @ gathered.reshape(-1, 2 * k)
             amat, bmat = ab[:, :k], ab[:, k:]
@@ -313,12 +284,14 @@ class GramPlan:
     over the cone rows of ``struct``) and the equality rows ``aeq``; only
     the weights change between iterations. A column that only one-entry
     rows with a nonzero factor reach has a positive Gram diagonal coupled
-    to nothing else. If it also meets at most one equality row, the KKT
-    solve eliminates it (``elim``) with a diagonal Schur term, from the
-    entries ``eq_row``, ``eq_col``, ``eq_sq`` of ``aeq_elim``; the others
-    are ``kept``, and ``pos`` maps each column to its place in (kept,
-    elim) order. On the allocation program with turnover the 2n turnover
-    columns, one turnover row each, are eliminated.
+    to nothing else; if it also meets at most one equality row, it is
+    eliminable. The KKT solve eliminates the trailing run of eliminable
+    columns ``[k:]`` with a diagonal Schur term, from the entries
+    ``eq_row``, ``eq_col``, ``eq_sq`` of ``aeq_elim``, and keeps the
+    columns ``[:k]``: an eliminable column ahead of the last column that is
+    not stays in the LU. On the allocation program with turnover the 2n
+    turnover columns, last in its column order with one turnover row each,
+    are eliminated.
 
     A row of K that no cone row copies carries no weight. Of the rest, a
     row with one nonzero adds a diagonal entry only, and the rows with
@@ -336,39 +309,31 @@ class GramPlan:
         used = np.bincount(self.idx, minlength=self.nrows) > 0
         count = nonzero.sum(axis=1)
         self.single = np.flatnonzero(used & (count == 1))
-        single_col = np.nonzero(nonzero[self.single])[1]
-        self.single_sq = kmat[self.single, single_col] ** 2
+        self.single_col = np.nonzero(nonzero[self.single])[1]
+        self.single_sq = kmat[self.single, self.single_col] ** 2
         self.multi = np.flatnonzero(used & (count > 1))
         multi_cols = np.flatnonzero(nonzero[self.multi].any(axis=0))
         self.multi_k = kmat[np.ix_(self.multi, multi_cols)]
-        rows = struct.soc_rows
-        soc_k = np.flatnonzero(np.bincount(self.idx[rows], minlength=self.nrows))
+        # K rows of the second-order suffix
+        soc_idx = self.idx[struct.nnn :]
+        soc_k = np.flatnonzero(np.bincount(soc_idx, minlength=self.nrows))
         soc_cols = np.flatnonzero(nonzero[soc_k].any(axis=0))
         self.soc_k = kmat[np.ix_(soc_k, soc_cols)]
 
         carried = np.bincount(self.idx, self.scale_sq, minlength=self.nrows)[self.single] > 0
         elim = np.zeros(self.ncols, dtype=bool)
-        elim[single_col[carried]] = True
-        elim[multi_cols] = False
-        elim[soc_cols] = False
+        elim[self.single_col[carried]] = True
+        elim[multi_cols] = elim[soc_cols] = False
         elim &= np.count_nonzero(aeq, axis=0) <= 1
-        self.kept, self.elim = np.flatnonzero(~elim), np.flatnonzero(elim)
-        self.pos = np.empty(self.ncols, dtype=np.intp)
-        self.pos[np.concatenate([self.kept, self.elim])] = np.arange(self.ncols)
-        # ``take`` keeps the blocks row-major: ``aeq[:, cols]`` comes out
-        # column-major, whose products go to another BLAS kernel and round
-        # differently
-        self.aeq_kept, self.aeq_elim = aeq.take(self.kept, axis=1), aeq.take(self.elim, axis=1)
+        self.k = k = int(np.flatnonzero(~elim).max(initial=-1)) + 1
+        self.aeq_kept, self.aeq_elim = aeq[:, :k], aeq[:, k:]
         self.eq_row, self.eq_col = np.nonzero(self.aeq_elim)
         self.eq_sq = self.aeq_elim[self.eq_row, self.eq_col] ** 2
 
-        # Gram work, in (kept, elim) order
-        self.single_pos = self.pos[single_col]
-        self.multi_ix = np.ix_(self.pos[multi_cols], self.pos[multi_cols])
-        self.soc_ix = np.ix_(self.pos[soc_cols], self.pos[soc_cols])
+        self.multi_ix = np.ix_(multi_cols, multi_cols)
+        self.soc_ix = np.ix_(soc_cols, soc_cols)
         # rank-two terms: cell (local K row, block) of a_k, then of b_k
-        local = np.searchsorted(soc_k, self.idx[rows])
-        k = struct.soc_starts.size
-        cell = local * (2 * k) + struct.block[rows]
-        self.cell = np.concatenate([cell, cell + k])
-        self.soc_scale = g.scale[rows]
+        nblocks = struct.soc_starts.size
+        cell = np.searchsorted(soc_k, soc_idx) * (2 * nblocks) + struct.block
+        self.cell = np.concatenate([cell, cell + nblocks])
+        self.soc_scale = g.scale[struct.nnn :]

@@ -124,15 +124,31 @@ def _read_rows(fh, columns: list[str], numeric: slice):
         yield line, cells, day, numbers
 
 
+def _header_tickers(cells: list[str], prefix: str = "") -> tuple[str, ...]:
+    """The tickers that the header ``cells`` name, each after ``prefix``.
+    A cell without the prefix, or whose name is empty or repeats an earlier
+    one, raises :class:`ParseError` on line 1 naming the cell."""
+    tickers = []
+    for cell in cells:
+        name = cell[len(prefix) :]
+        if not cell.startswith(prefix) or not name:
+            raise ParseError(f"header cell {cell!r} names no ticker"
+                             + (f", expected {prefix}<ticker>" if prefix else ""), line=1)
+        if name in tickers:
+            raise ParseError(f"header cell {cell!r} repeats ticker {name!r}", line=1)
+        tickers.append(name)
+    return tuple(tickers)
+
+
 def load_csv(source, ticker: str | None = None) -> dict[str, PriceSeries]:
     """Parse daily close prices from CSV.
 
     Accepts the long format (header ``date,ticker,close``) or the
     single-asset format (header ``date,close``); for the latter the asset
     name comes from ``ticker`` or, for file paths, the file stem. Dates
-    are ISO-8601. Rows are sorted by date per ticker; duplicate
-    (date, ticker) pairs and non-positive prices are rejected with the
-    offending line number.
+    are ISO-8601. Rows are sorted by date per ticker; an empty ticker,
+    duplicate (date, ticker) pairs and non-positive prices are rejected
+    with the offending line number.
     """
     with _opened(source) as fh:
         header = fh.readline()
@@ -156,6 +172,8 @@ def load_csv(source, ticker: str | None = None) -> dict[str, PriceSeries]:
         seen: set[tuple[str, date]] = set()
         for line, cells, day, (close,) in _read_rows(fh, cols, slice(-1, None)):
             name = cells[1] if long_format else ticker
+            if not name:
+                raise ParseError("empty ticker", line=line)
             if close <= 0:
                 raise ParseError(f"non-positive price {cells[-1]!r} for {name}", line=line)
             if (name, day) in seen:
@@ -223,17 +241,18 @@ def panel_to_csv(panel: WeeklyPanel, destination) -> None:
 def panel_from_csv(source) -> WeeklyPanel:
     """Read the wide format written by :func:`panel_to_csv` (bit-exact).
 
-    Besides the row checks of the other readers, a price that is not
-    positive or a date not later than the row before it raises
-    :class:`ParseError` with its line."""
+    Besides the row checks of the other readers, a header that does not
+    name each ticker once, a price that is not positive or a date not later
+    than the row before it raises :class:`ParseError` with its line."""
     with _opened(source) as fh:
         header = fh.readline().strip()
         cols = [c.strip() for c in header.split(",")]
         if len(cols) < 2 or cols[0].lower() != "date":
             raise ParseError(f"unrecognized panel header {header!r}", line=1)
+        tickers = _header_tickers(cols[1:])
         dates, rows = [], []
         for line, cells, day, prices in _read_rows(fh, cols, slice(1, None)):
-            for ticker, cell, price in zip(cols[1:], cells[1:], prices):
+            for ticker, cell, price in zip(tickers, cells[1:], prices):
                 if price <= 0:
                     raise ParseError(f"non-positive price {cell!r} for {ticker}", line=line)
             if dates and day <= dates[-1]:
@@ -242,4 +261,4 @@ def panel_from_csv(source) -> WeeklyPanel:
             rows.append(prices)
     if not rows:
         raise ParseError("no data rows found")
-    return WeeklyPanel(dates=tuple(dates), tickers=tuple(cols[1:]), prices=np.array(rows))
+    return WeeklyPanel(dates=tuple(dates), tickers=tickers, prices=np.array(rows))

@@ -248,20 +248,21 @@ class _KKT:
     3-block space (W applied functionally) to recover accuracy lost when
     forming H at extreme scalings.
 
-    The columns D that ``plan`` eliminates have a diagonal block ``H_DD``
-    coupled to nothing else in H, and each meets at most one equality row,
-    so they are eliminated as well: LU factors only the kept columns K and
-    the equality rows, ``[[H_KK + reg, Aeq_K'], [Aeq_K, -reg I - Aeq_D
-    (H_DD + reg)^-1 Aeq_D']]``, whose last term is diagonal, and
+    The trailing columns D = ``[plan.k:]`` that ``plan`` eliminates have a
+    diagonal block ``H_DD`` coupled to nothing else in H, and each meets at
+    most one equality row, so they are eliminated as well: LU factors only
+    the kept columns K = ``[:plan.k]`` and the equality rows, ``[[H_KK +
+    reg, Aeq_K'], [Aeq_K, -reg I - Aeq_D (H_DD + reg)^-1 Aeq_D']]``, whose
+    last term is diagonal, and
     ``dx_D = (gx_D - Aeq_D' dy) / (H_DD + reg)``. For the allocation
     program with turnover the order falls from 4n+2 to 2n+2.
     """
 
     def __init__(self, plan, aeq, g, scaling, refine_steps):
         h, h_elim = scaling.gram(plan)
-        k, p = h.shape[0], aeq.shape[0]
+        k, p = plan.k, aeq.shape[0]
         # the trace of H, summed in column order as ``H.trace()`` would
-        trace = np.concatenate([h.diagonal(), h_elim])[plan.pos].sum()
+        trace = np.concatenate([h.diagonal(), h_elim]).sum()
         reg = REG * max(1.0, float(trace) / max(plan.ncols, 1))
         self.delta = h_elim + reg
         schur = np.bincount(plan.eq_row, plan.eq_sq / self.delta[plan.eq_col], minlength=p)
@@ -275,15 +276,14 @@ class _KKT:
         self.refine_steps = refine_steps
 
     def _reduced(self, rho_x, rho_y, rho_3):
-        w, plan = self.scaling, self.plan
+        w, plan, k = self.scaling, self.plan, self.plan.k
         gx = rho_x + self.g.rmatvec(w.apply_inv_sq(rho_3))
-        gd = gx[plan.elim] / self.delta
-        rhs = np.concatenate([gx[plan.kept], rho_y - plan.aeq_elim @ gd])
+        gd = gx[k:] / self.delta
+        rhs = np.concatenate([gx[:k], rho_y - plan.aeq_elim @ gd])
         # LAPACK rejects an empty system (a program with no variables)
         u = _GETRS(self.lu, self.piv, rhs)[0] if rhs.size else rhs
-        k = plan.kept.size
         dy = u[k:]
-        dx = np.concatenate([u[:k], gd - (plan.aeq_elim.T @ dy) / self.delta])[plan.pos]
+        dx = np.concatenate([u[:k], gd - (plan.aeq_elim.T @ dy) / self.delta])
         gdx = self.g @ dx
         dz = w.apply_inv_sq(gdx - rho_3)
         return dx, dy, dz, gdx
@@ -326,9 +326,8 @@ def solve(p: ConeProgram, opts: SolverOptions | None = None) -> ConeSolution:
         return np.where(norms > 1e-300, norms, 1.0)
 
     d_eq = row_scale(np.linalg.norm(aeq, axis=1))
-    d_cone = np.ones(m)
     row_norms = g.row_norms()
-    d_cone[struct.nn_idx] = row_scale(row_norms[struct.nn_idx])
+    d_cone = row_scale(row_norms)
     for lo, hi in struct.soc_slices:
         # rows negligible against the block's largest (all-zero rows, or
         # floors near 1e-200 on the allocation program) would drag the
@@ -461,10 +460,11 @@ def solve(p: ConeProgram, opts: SolverOptions | None = None) -> ConeSolution:
             # the limit and would leak its conditioning into feasibility
             ds = -r_c - g @ dx + h * dtau
             dkappa = -r_g - (c @ dx + beq @ dy + h @ dz)
-            return dx, dy, dz, ds, dtau, dkappa
+            # ds and dz as the two rows of one array, as sz holds s and z
+            return dx, dy, np.stack([ds, dz]), dtau, dkappa
 
-        def max_step(dz, ds, dtau, dkappa):
-            alpha = struct.max_step(sz, np.stack([ds, dz]), dets)
+        def max_step(dsz, dtau, dkappa):
+            alpha = struct.max_step(sz, dsz, dets)
             if dtau < 0:
                 alpha = min(alpha, -tau / dtau)
             if dkappa < 0:
@@ -478,17 +478,17 @@ def solve(p: ConeProgram, opts: SolverOptions | None = None) -> ConeSolution:
         lsq = struct.prod(lmbda, lmbda)
         sigma, corr, corr_kappa = 1.0, 0.0, 0.0
         if not (relgap <= 0.9 * opts.tol and (pres > opts.tol or dres > opts.tol)):
-            aff = direction(-lsq, -tau * kappa)
-            alpha_aff = min(1.0, max_step(*aff[2:]))
+            _, _, aff_sz, aff_tau, aff_kappa = direction(-lsq, -tau * kappa)
+            alpha_aff = min(1.0, max_step(aff_sz, aff_tau, aff_kappa))
             sigma = min(1.0, max(0.0, (1.0 - alpha_aff))) ** 3
-            corr = struct.prod(scaling.apply_inv(aff[3]), scaling.apply(aff[2]))
-            corr_kappa = aff[4] * aff[5]
-        dx, dy, dz, ds, dtau, dkappa = direction(-lsq + sigma * mu * e - corr,
-                                                 -tau * kappa + sigma * mu - corr_kappa)
+            corr = struct.prod(scaling.apply_inv(aff_sz[0]), scaling.apply(aff_sz[1]))
+            corr_kappa = aff_tau * aff_kappa
+        dx, dy, dsz, dtau, dkappa = direction(-lsq + sigma * mu * e - corr,
+                                              -tau * kappa + sigma * mu - corr_kappa)
 
-        if not all(np.isfinite(d).all() for d in (dx, dy, dz, ds)) or not np.isfinite(dtau + dkappa):
+        if not all(np.isfinite(d).all() for d in (dx, dy, dsz)) or not np.isfinite(dtau + dkappa):
             break
-        alpha = min(1.0, STEP_BACKOFF * max_step(dz, ds, dtau, dkappa))
+        alpha = min(1.0, STEP_BACKOFF * max_step(dsz, dtau, dkappa))
         if debug:
             log.debug("        alpha %.3e sigma %.3e mu %.3e", alpha, sigma, mu)
         if not np.isfinite(alpha) or alpha <= 1e-13:
@@ -496,8 +496,7 @@ def solve(p: ConeProgram, opts: SolverOptions | None = None) -> ConeSolution:
 
         x += alpha * dx
         y += alpha * dy
-        z += alpha * dz
-        s += alpha * ds
+        sz += alpha * dsz
         tau += alpha * dtau
         kappa += alpha * dkappa
         if tau <= 0 or kappa <= 0 or struct.margin(sz) <= 0:

@@ -8,7 +8,7 @@ from riskbudget.solver import RowMatrix
 
 def random_interior(struct, rng, scale=1.0):
     u = rng.standard_normal(struct.dim) * scale
-    u[struct.nn_idx] = np.abs(u[struct.nn_idx]) + 0.1
+    u[: struct.nnn] = np.abs(u[: struct.nnn]) + 0.1
     for lo, hi in struct.soc_slices:
         u[lo] = np.linalg.norm(u[lo + 1 : hi]) + 0.1 + abs(u[lo])
     return u
@@ -41,7 +41,7 @@ def structs():
 
 def test_structure_layout(struct):
     assert struct.dim == 9
-    assert list(struct.nn_idx) == [0, 1, 2]
+    assert struct.nnn == 3
     assert struct.soc_slices == [(3, 7), (7, 9)]
     assert struct.degree == 5
 
@@ -95,8 +95,11 @@ def test_w_squared_in_one_vector_form(structs):
                 for lo, hi in struct.soc_slices:
                     s[lo] = np.linalg.norm(s[lo + 1 : hi]) * 1.01
             w = nt_scaling(struct, s, z)
-            assert np.allclose(w.vsq, struct.prod(w.v_all, w.v_all), rtol=1e-14, atol=1e-14)
-            assert np.allclose(struct.jdot(w.vsq, w.vsq), 1.0, rtol=1e-12, atol=0.0)
+            # v and v o v cover the second-order suffix
+            pad = np.zeros(struct.nnn)
+            v, vsq = np.concatenate([pad, w.v]), np.concatenate([pad, w.vsq])
+            assert np.allclose(vsq, struct.prod(v, v), rtol=1e-14, atol=1e-14)
+            assert np.allclose(struct.jdot(vsq, vsq), 1.0, rtol=1e-12, atol=0.0)
             u = rng.standard_normal(struct.dim)
             twice = w.apply(w.apply(u))
             assert np.linalg.norm(w.apply_sq(u) - twice) <= 1e-12 * np.linalg.norm(twice)
@@ -109,28 +112,65 @@ def test_gram_plan_finds_the_diagonal_columns():
     n = 4
     rng = np.random.default_rng(8)
     a = rng.standard_normal((n, n))
-    for mu, eliminated in ((0.001, range(n + 1, 3 * n + 1)), (0.0, [])):
+    for mu in (0.001, 0.0):
         prog = build_program(AllocationProblem(cov=a @ a.T / n + np.eye(n), budgets=np.full(n, 0.1),
                                                mu=mu))
         struct = prog.structure
         plan = GramPlan(struct, prog.A.take(struct.cone_rows), prog.A.take(struct.zero_rows).toarray())
-        assert list(plan.elim) == list(eliminated)
+        # x and t are kept, and the 2n turnover columns after them go
+        assert (plan.k, plan.ncols) == (n + 1, 3 * n + 1 if mu else n + 1)
     # one-entry rows only: as nonneg rows every column is eliminable, but
     # once they also feed a second-order block (||x_0:3|| <= x_3) none is
     g = RowMatrix.dense(np.vstack([-np.eye(4), -np.eye(4)[[3, 0, 1, 2]]]))
     no_eq = np.zeros((0, 4))
-    assert GramPlan(ConeStructure([NonNeg(8)]), g, no_eq).elim.size == 4
-    assert GramPlan(ConeStructure([NonNeg(4), SecondOrder(4)]), g, no_eq).elim.size == 0
-    # a column that two equality rows share stays, wherever it lies
+    assert GramPlan(ConeStructure([NonNeg(8)]), g, no_eq).k == 0
+    assert GramPlan(ConeStructure([NonNeg(4), SecondOrder(4)]), g, no_eq).k == 4
+    # a column that two equality rows share stays, and so does the
+    # eliminable column ahead of it: only the trailing run is eliminated
     aeq = np.array([[1.0, 1.0, 0.0, 0.0], [0.0, 2.0, -1.0, 0.0]])
     plan = GramPlan(ConeStructure([NonNeg(8)]), g, aeq)
-    assert list(plan.kept) == [1] and list(plan.elim) == [0, 2, 3]
-    assert list(plan.eq_row) == [0, 1] and list(plan.eq_col) == [0, 1]
-    assert list(plan.eq_sq) == [1.0, 1.0]
+    assert plan.k == 2
+    assert list(plan.eq_row) == [1] and list(plan.eq_col) == [0]
+    assert list(plan.eq_sq) == [1.0]
     # a column whose one-entry rows all carry a zero factor has no diagonal
     # to divide by, so it stays
-    g = RowMatrix(-np.eye(2), [0, 1], [1.0, 0.0])
-    assert list(GramPlan(ConeStructure([NonNeg(2)]), g, np.zeros((0, 2))).kept) == [1]
+    g = RowMatrix(-np.eye(2), [0, 1], [0.0, 1.0])
+    assert GramPlan(ConeStructure([NonNeg(2)]), g, np.zeros((0, 2))).k == 1
+
+
+def eliminable(prog):
+    """The columns the KKT solve could eliminate, read off the dense matrix:
+    reached by some one-entry nonneg row, by no other cone row, and by at
+    most one equality row."""
+    struct = prog.structure
+    a = np.asarray(prog.A)
+    reach = a[struct.cone_rows] != 0
+    unit = (reach.sum(axis=1) == 1) & (np.arange(struct.dim) < struct.nnn)
+    return (reach[unit].any(axis=0) & ~reach[~unit].any(axis=0)
+            & (np.count_nonzero(a[struct.zero_rows], axis=0) <= 1))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 16])
+@pytest.mark.parametrize("lam", [0.0, 1.0])
+@pytest.mark.parametrize("mu", [0.0, 1e-3])
+def test_allocation_program_lies_in_canonical_order(n, lam, mu):
+    # the solver addresses nonneg rows as a prefix and eliminates only a
+    # trailing run of columns: the allocation program lists its nonneg
+    # rows ahead of its second-order blocks, so the canonical order leaves
+    # its cone rows in place, and every eliminable column trails
+    rng = np.random.default_rng(n)
+    a = rng.standard_normal((n, n))
+    prog = build_program(AllocationProblem(cov=a @ a.T / n + np.eye(n),
+                                           budgets=0.5 * rng.dirichlet(np.ones(n)),
+                                           forecasts=rng.normal(0.0, 0.01, n), lam=lam, mu=mu,
+                                           prev_weights=rng.dirichlet(np.ones(n))))
+    struct = prog.structure
+    assert np.all(np.diff(struct.cone_rows) > 0)
+    plan = GramPlan(struct, prog.A.take(struct.cone_rows), prog.A.take(struct.zero_rows).toarray())
+    elim = eliminable(prog)
+    assert not elim[: plan.k].any() and elim[plan.k :].all()
+    # the turnover split columns, and no others
+    assert plan.ncols - plan.k == (2 * n if mu else 0)
 
 
 def brute_gram(w, g):
@@ -142,8 +182,9 @@ def full_gram(w, plan):
     """The Gram over all columns, from the kept block and eliminated diagonal."""
     h, h_elim = w.gram(plan)
     out = np.zeros((plan.ncols, plan.ncols))
-    out[np.ix_(plan.kept, plan.kept)] = h
-    out[plan.elim, plan.elim] = h_elim
+    k = plan.k
+    out[:k, :k] = h
+    out[np.arange(k, plan.ncols), np.arange(k, plan.ncols)] = h_elim
     return out
 
 
@@ -171,21 +212,21 @@ def test_gram_matches_bruteforce(structs):
         # every kind of K row on nonneg and second-order rows alike, except
         # that only nonneg rows copy row 2, so its column 4 is eliminated
         idx = rng.choice([0, 1, 2, 3, 5], struct.dim)
-        idx[struct.soc_rows] = rng.choice([0, 1, 3, 5], struct.soc_rows.size)
+        idx[struct.nnn :] = rng.choice([0, 1, 3, 5], struct.dim - struct.nnn)
         idx[struct.soc_starts] = 1
-        idx[struct.nn_idx[:2]] = [2, 5]
+        idx[:2] = [2, 5]
         rows = RowMatrix(kmat, idx, rng.standard_normal(struct.dim))
         plan = GramPlan(struct, rows, no_eq)
-        assert list(plan.elim) == [4]
+        assert plan.k == 4
         h = full_gram(w, plan)
         brute = brute_gram(w, rows)
         assert np.allclose(h, brute, atol=1e-9)
         assert not h[0].any() and not h[:, 0].any()
         # what the plan leaves out is zero: the eliminated columns meet
         # nothing off the diagonal
-        off = brute[:, plan.elim].copy()
-        off[plan.elim, np.arange(plan.elim.size)] = 0.0
-        assert not off.any() and not brute[plan.elim][:, plan.kept].any()
+        off = brute[:, 4].copy()
+        off[4] = 0.0
+        assert not off.any() and not brute[4, :4].any()
 
 
 def test_max_step(structs):
@@ -239,7 +280,7 @@ def test_pair_pass_equals_the_per_vector_calls(blocks):
         for u in (sz, dsz):
             assert struct.margin(u) == min(struct.margin(u[0]), struct.margin(u[1]))
         shared, own = NTScaling(struct, s, z, dets), NTScaling(struct, s, z, each)
-        for name in ("eta", "vtv", "v_all", "vsq", "w", "lmbda"):
+        for name in ("eta", "vtv", "v", "vsq", "w", "lmbda"):
             assert np.array_equal(getattr(shared, name), getattr(own, name)), name
 
 
@@ -267,7 +308,7 @@ def loop_div(struct, lmbda, d):
 
 def loop_margin(struct, u):
     socs = [u[lo] - np.linalg.norm(u[lo + 1 : hi]) for lo, hi in struct.soc_slices]
-    return min(socs + list(u[struct.nn_idx]))
+    return min(socs + list(u[: struct.nnn]))
 
 
 def loop_soc_step(u0, u1, d0, d1):
@@ -290,9 +331,10 @@ def loop_soc_step(u0, u1, d0, d1):
 
 def loop_max_step(struct, u, du):
     alpha = np.inf
-    neg = du[struct.nn_idx] < 0
+    un, dn = u[: struct.nnn], du[: struct.nnn]
+    neg = dn < 0
     if np.any(neg):
-        alpha = float(np.min(-u[struct.nn_idx][neg] / du[struct.nn_idx][neg]))
+        alpha = float(np.min(-un[neg] / dn[neg]))
     for lo, hi in struct.soc_slices:
         alpha = min(alpha, loop_soc_step(u[lo], u[lo + 1 : hi], du[lo], du[lo + 1 : hi]))
     return alpha
@@ -335,7 +377,7 @@ def test_segmented_primitives_match_block_loops(blocks):
         w = nt_scaling(struct, u, v)
         eta, v_all = loop_scaling_point(struct, u, v)
         assert np.allclose(w.eta, eta, rtol=1e-12)
-        assert np.allclose(w.v_all, v_all, rtol=1e-12, atol=1e-14)
+        assert np.allclose(w.v, v_all[struct.nnn :], rtol=1e-12, atol=1e-14)
 
 
 def test_soc_step_boundary_cases():

@@ -73,6 +73,10 @@ class TestLoadCsv:
         with pytest.raises(ParseError):
             load_csv(io.StringIO(""))
 
+    def test_empty_ticker_names_line(self):
+        with pytest.raises(ParseError, match="^line 3: empty ticker$"):
+            load_csv(long_csv(["2020-01-02,A,1.0", "2020-01-02,,1.0"]))
+
 
 def series(ticker, pairs):
     return PriceSeries(ticker=ticker,
@@ -227,6 +231,30 @@ def test_malformed_row_names_line_and_value(reader, header, good, row, message):
     assert str(exc.value) == f"line 4: {message}"
     # a caller that caught the panel's ValueError still catches every row defect
     assert isinstance(exc.value, ValueError)
+
+
+# a header must name each ticker once, non-empty: the weekly panel and the
+# ledger's w_ columns hold one column per asset
+@pytest.mark.parametrize("reader, header, row, message", [
+    pytest.param(panel_from_csv, "date,A,A", "2020-01-10,1.5,2.5",
+                 "header cell 'A' repeats ticker 'A'", id="panel-repeat"),
+    pytest.param(panel_from_csv, "date,,B", "2020-01-10,1.5,2.5",
+                 "header cell '' names no ticker", id="panel-empty"),
+    pytest.param(ledger_from_csv, "date,value,qqA,leverage,cost,turnover,abstained",
+                 "2021-01-08,1.0,1.0,1.0,0.0,0.0,False",
+                 "header cell 'qqA' names no ticker, expected w_<ticker>", id="ledger-prefix"),
+    pytest.param(ledger_from_csv, "date,value,w_,leverage,cost,turnover,abstained",
+                 "2021-01-08,1.0,1.0,1.0,0.0,0.0,False",
+                 "header cell 'w_' names no ticker, expected w_<ticker>", id="ledger-empty"),
+    pytest.param(ledger_from_csv, "date,value,w_A,w_A,leverage,cost,turnover,abstained",
+                 "2021-01-08,1.0,0.5,0.5,1.0,0.0,0.0,False",
+                 "header cell 'w_A' repeats ticker 'A'", id="ledger-repeat"),
+])
+def test_header_names_each_ticker_once(reader, header, row, message):
+    with pytest.raises(ParseError) as exc:
+        reader(io.StringIO(f"{header}\n{row}\n"))
+    assert exc.value.line == 1
+    assert str(exc.value) == f"line 1: {message}"
 
 
 class TestWeeklyPanelInvariants:

@@ -6,6 +6,7 @@ multiplier and an unbounded one from a recession ray. Each example is a
 seeded draw, so the whole file runs the same examples every time.
 """
 
+import dataclasses
 import io
 from datetime import date, timedelta
 
@@ -15,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from riskbudget.allocation import AllocationProblem, solve_allocation
+from riskbudget.allocation import AllocationProblem, build_program, solve_allocation
 from riskbudget.backtest import DEFAULT_SOLVER_OPTIONS, BacktestLedger, ledger_from_csv, ledger_to_csv
 from riskbudget.data import ParseError, WeeklyPanel, panel_from_csv, panel_to_csv
 from riskbudget.cones import ConeStructure, NonNeg, SecondOrder, Zero
@@ -150,11 +151,20 @@ def check_planted_optimum(blocks, extra, seed):
     _, _, _, s_k = split(blocks, a, sol.slack)
     assert norm(a_eq @ sol.primal - b_eq) <= ROUNDING * TOL * (1.0 + norm(b_eq))
     assert norm(a_k @ sol.primal + s_k - b_k) <= ROUNDING * TOL * (1.0 + norm(b_k))
-    assert norm(a.T @ sol.dual + prog.c) <= ROUNDING * TOL * (1.0 + norm(prog.c))
-    dobj = -float(prog.b @ sol.dual)
-    gap = float(sol.slack @ sol.dual) / max(1.0, abs(sol.objective), abs(dobj))
-    assert gap <= ROUNDING * TOL
-    assert margin(blocks, sol.slack) >= 0 and margin(blocks, sol.dual) >= 0
+    residual, gap, dual_margin = dual_certificate(prog, sol)
+    assert residual <= ROUNDING * TOL and gap <= ROUNDING * TOL
+    assert margin(blocks, sol.slack) >= 0 and dual_margin >= 0
+
+
+def dual_certificate(prog, sol):
+    """The dual residual ``||A'y + c|| / (1 + ||c||)``, the relative gap
+    ``s'y / max(1, |c'x|, |b'y|)`` and the distance of ``y`` inside the
+    dual cone, for the dual ``y`` of a solution, on the program's data."""
+    y = sol.dual
+    residual = norm(np.asarray(prog.A).T @ y + prog.c) / (1.0 + norm(prog.c))
+    dobj = -float(prog.b @ y)
+    gap = float(sol.slack @ y) / max(1.0, abs(sol.objective), abs(dobj))
+    return residual, gap, margin(prog.cones, y)
 
 
 @PROPERTY
@@ -223,12 +233,12 @@ def test_structure_matches_a_row_walk(blocks):
         row += blk.dim
     assert list(struct.cone_rows) == nonneg + soc_rows
     assert struct.dim == len(nonneg) + len(soc_rows)
-    assert list(struct.nn_idx) == list(range(len(nonneg)))
+    assert struct.nnn == len(nonneg)
     assert struct.soc_slices == soc
     assert list(struct.soc_starts) == [lo for lo, _ in soc]
     assert struct.degree == len(nonneg) + len(soc)
     for k, (lo, hi) in enumerate(soc):
-        assert (struct.block[lo:hi] == k).all()
+        assert (struct.block[lo - struct.nnn : hi - struct.nnn] == k).all()
 
 
 def floor_residuals(cov, budgets, x):
@@ -251,13 +261,21 @@ def test_allocation_is_fully_invested_and_meets_every_floor(n, floors, lam, mu, 
                                 prev_weights=rng.dirichlet(np.ones(n)))
     # at the backtest engine's tolerance, which the benchmark checks gate
     tol = DEFAULT_SOLVER_OPTIONS.tol
-    x = solve_allocation(problem, DEFAULT_SOLVER_OPTIONS).weights
+    sol = solve_allocation(problem, DEFAULT_SOLVER_OPTIONS).solver_stats
+    x = sol.primal[:n]
     # the bounds those checks state for an Optimal allocation: the budget
     # row within tol of 1, each floor cone within sqrt(2) tol
     prev, lower, upper = problem.prev_weights, problem.lower, problem.upper
     assert abs(x.sum() - 1.0) <= tol * (1.0 + np.sqrt(1.0 + prev @ prev))
     cone_scale = tol * (1.0 + np.sqrt(lower @ lower + upper @ upper))
     assert floor_residuals(problem.cov, problem.budgets, x).max() <= np.sqrt(2.0) * cone_scale
+    # and an Optimal status holds up against the solve's own dual
+    prog = build_program(problem)
+    residual, gap, dual_margin = dual_certificate(prog, sol)
+    assert residual <= ROUNDING * tol and gap <= ROUNDING * tol and dual_margin >= 0
+    # which a dual 0.1% too long fails
+    longer = dataclasses.replace(sol, dual=1.001 * sol.dual)
+    assert dual_certificate(prog, longer)[0] > ROUNDING * tol
 
 
 @st.composite

@@ -39,7 +39,7 @@ def problems(draw):
 
 def interior(struct, rng):
     u = rng.standard_normal(struct.dim)
-    u[struct.nn_idx] = np.abs(u[struct.nn_idx]) + 0.1
+    u[: struct.nnn] = np.abs(u[: struct.nnn]) + 0.1
     for lo, hi in struct.soc_slices:
         u[lo] = np.linalg.norm(u[lo + 1 : hi]) + 0.1 + abs(u[lo])
     return u

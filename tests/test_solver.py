@@ -341,8 +341,8 @@ def _check_against_dense(prog, order, seed=9):
     # every column is eliminated: only the 3 equality rows are factored
     ("l1 split", {n: p for n, p, _ in battery()}["l1 split"], 3),
     # the column that two equality rows share stays in the LU, the two
-    # around it are eliminated
-    ("shared column", Builder(3).eq([[1.0, 1.0, 0.0], [0.0, 2.0, -1.0]], [1.0, 0.5])
+    # after it are eliminated
+    ("shared column", Builder(3).eq([[1.0, 1.0, 0.0], [2.0, 0.0, -1.0]], [1.0, 0.5])
      .leq(-np.eye(3), np.zeros(3)).program([1.0, 2.0, 3.0]), 3),
 ])
 def test_kkt_solve_matches_the_dense_three_block_system(name, prog, order):
@@ -357,7 +357,7 @@ def test_reduced_kkt_solve_matches_the_dense_system(dense, meets, p, seed):
     # one column per entry of ``meets`` that only one-entry nonneg rows
     # reach, meeting that many of the ``p`` equality rows; every column
     # also has a one-entry row with a zero factor. The columns are shuffled,
-    # so the eliminated ones need not trail.
+    # so eliminable columns can lie ahead of kept ones, which keeps them.
     rng = np.random.default_rng(seed)
     n = dense + len(meets)
     cols = rng.permutation(n)
@@ -380,7 +380,38 @@ def test_reduced_kkt_solve_matches_the_dense_system(dense, meets, p, seed):
         cones.insert(0, Zero(p))
     prog = ConeProgram(c=np.zeros(n), A=RowMatrix(kmat, idx, scale), b=np.zeros(idx.size),
                        cones=cones)
-    _check_against_dense(prog, dense + int(np.sum(meets == 2)) + p, seed)
+    kept = np.concatenate([dcols, diag[meets == 2]])
+    _check_against_dense(prog, kept.max() + 1 + p, seed)
+
+
+def test_an_eliminable_column_ahead_of_a_kept_one_stays_in_the_lu():
+    # u (column 0) is eliminable: one equality row and two one-entry
+    # nonneg rows, 0 <= u <= 2, reach it. Ahead of the three columns of x,
+    # which a second-order block ||x - x0|| <= 1 reaches, it stays in the
+    # LU; moved last, the twin program eliminates it. Both solve to the
+    # same point.
+    rng = np.random.default_rng(12)
+    eq = np.r_[0.7, rng.uniform(0.5, 1.5, 3)]
+    x0 = rng.normal(0.0, 0.2, 3)
+    a = np.zeros((1 + 2 + 4, 4))
+    a[0] = eq
+    a[1:3, 0] = [-1.0, 1.0]
+    a[4:, 1:] = -np.eye(3)
+    b = np.r_[1.0, 0.0, 2.0, 1.0, -x0]
+    c = rng.standard_normal(4)
+    cones = [Zero(1), NonNeg(2), SecondOrder(4)]
+    order = [1, 2, 3, 0]
+    twin = ConeProgram(c=c[order], A=a[:, order], b=b, cones=cones)
+    prog = ConeProgram(c=c, A=a, b=b, cones=cones)
+    ks = []
+    for p in (prog, twin):
+        struct = p.structure
+        ks.append(GramPlan(struct, p.A.take(struct.cone_rows), p.A.take(struct.zero_rows).toarray()).k)
+    assert ks == [4, 3]
+    sol, twin_sol = solve(prog), solve(twin)
+    assert sol.status is twin_sol.status is SolveStatus.Optimal
+    assert np.abs(sol.primal[order] - twin_sol.primal).max() <= 1e-9
+    assert np.abs(sol.dual - twin_sol.dual).max() <= 1e-9
 
 
 def test_refinement_keeps_the_first_pass_when_a_correction_is_not_finite(monkeypatch):
