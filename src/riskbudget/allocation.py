@@ -72,10 +72,10 @@ class AllocationProblem:
     expected simple returns per period, ``lam`` the mean-variance
     trade-off, ``mu`` the proportional cost per unit turnover against
     ``prev_weights``, ``lower``/``upper`` the weight bounds (upper may hold
-    +inf), and ``budgets`` the per-asset floors on the fractional risk
-    contribution, summing to at most 1. Construction raises a
-    ``ValueError`` naming the field on data that breaks these rules or,
-    ``upper`` aside, is not finite.
+    +inf), ``budgets`` the per-asset floors on the fractional risk
+    contribution, summing to at most 1, and ``assets`` distinct, non-empty
+    names. Construction raises a ``ValueError`` naming the field on data
+    that breaks these rules or, ``upper`` aside, is not finite.
     """
 
     cov: np.ndarray
@@ -110,8 +110,13 @@ class AllocationProblem:
             v = getattr(self, name)
             if v.size != n:
                 raise ValueError(f"{name} has {v.size} entries, expected {n}")
-        if self.assets is not None and len(self.assets) != n:
-            raise ValueError(f"assets has {len(self.assets)} names, expected {n}")
+        if self.assets is not None:
+            if len(self.assets) != n:
+                raise ValueError(f"assets has {len(self.assets)} names, expected {n}")
+            # a repeated name would collapse two weights of the JSON output
+            for i, name in enumerate(self.assets):
+                if not name or name in self.assets[:i]:
+                    raise ValueError(f"assets: name {name!r} is {'repeated' if name else 'empty'}")
         for name in ("cov", "budgets", "forecasts", "prev_weights", "lower"):
             if not np.isfinite(getattr(self, name)).all():
                 raise ValueError(f"{name} has non-finite entries")

@@ -1,9 +1,7 @@
 """Performance analytics over equity curves and backtest ledgers.
 
-Drawdown episodes are peak-to-recovery windows: an episode opens when the
-curve drops below its running peak, troughs at the window minimum, and
-closes at the first value that reaches the old peak (or at the series end
-when never recovered). Summary statistics treat the ledger's value column
+Drawdown episodes are the runs of an equity curve below its running peak
+(:func:`drawdowns`). Summary statistics treat the ledger's value column
 as an equity curve starting from 1.0 at inception, with weekly cadence
 (52 periods/year) for annualization.
 """
@@ -59,37 +57,30 @@ class SummaryStats:
 
 
 def drawdowns(values, dates: Sequence | None = None) -> list[DrawdownEpisode]:
-    """All drawdown episodes of a positive equity curve, in time order.
+    """All drawdown episodes of a nonnegative equity curve, in time order.
 
-    ``dates`` labels the points (indices when omitted). Unrecovered
-    drawdowns at the series end are reported with ``to_date`` equal to the
-    last label.
+    An episode is a run of points below the running peak: the point before
+    the run is its peak, the run's first minimum its trough, and the first
+    point after the run its end (the last point, when never recovered).
+    ``dates`` labels the points (indices when omitted). A curve that
+    reaches 0 is ruined, and its episode is 1.0 deep.
     """
     v = np.asarray(values, dtype=float).ravel()
     if v.size < 2:
         raise EmptySeries(f"need at least 2 points, got {v.size}")
-    if np.any(v <= 0) or not np.all(np.isfinite(v)):
-        raise ValueError("equity curve values must be positive and finite")
+    if np.any(v < 0) or not np.all(np.isfinite(v)):
+        raise ValueError("equity curve values must be nonnegative and finite")
     labels = list(dates) if dates is not None else list(range(v.size))
     if len(labels) != v.size:
         raise ValueError(f"{len(labels)} labels for {v.size} values")
 
-    episodes: list[DrawdownEpisode] = []
-    peak = 0
-    trough = None
-    for t in range(1, v.size):
-        if v[t] >= v[peak]:
-            if trough is not None:
-                episodes.append(DrawdownEpisode(labels[peak], labels[trough], labels[t],
-                                                1.0 - v[trough] / v[peak]))
-                trough = None
-            peak = t
-        else:
-            if trough is None or v[t] < v[trough]:
-                trough = t
-    if trough is not None:
-        episodes.append(DrawdownEpisode(labels[peak], labels[trough], labels[v.size - 1],
-                                        1.0 - v[trough] / v[peak]))
+    # the runs [lo, hi) under the running peak, from the edges of the mask
+    under = np.concatenate([[False], v < np.maximum.accumulate(v), [False]])
+    episodes = []
+    for lo, hi in np.flatnonzero(np.diff(under)).reshape(-1, 2).tolist():
+        trough = lo + int(np.argmin(v[lo:hi]))
+        episodes.append(DrawdownEpisode(labels[lo - 1], labels[trough], labels[min(hi, v.size - 1)],
+                                        1.0 - v[trough] / v[lo - 1]))
     return episodes
 
 
@@ -99,9 +90,12 @@ def top_drawdowns(episodes: Sequence[DrawdownEpisode], k: int = 5) -> list[Drawd
 
 
 def summary(ledger: BacktestLedger) -> SummaryStats:
-    """Headline statistics of one ledger; the curve starts at 1.0."""
+    """Headline statistics of one ledger; the curve starts at 1.0.
+
+    A ruined curve (value 0) earns 0 in each week after the ruin.
+    """
     curve = np.concatenate([[1.0], ledger.values])
-    rets = curve[1:] / curve[:-1] - 1.0
+    rets = np.divide(curve[1:], curve[:-1], out=np.ones(curve.size - 1), where=curve[:-1] > 0) - 1.0
     vol = float(np.std(rets, ddof=1)) * np.sqrt(WEEKS_PER_YEAR) if rets.size >= 2 else 0.0
     eps = drawdowns(curve)
     max_dd = max((ep.depth for ep in eps), default=0.0)
@@ -118,16 +112,10 @@ def summary(ledger: BacktestLedger) -> SummaryStats:
 def drawdown_table_rows(episodes_by_name: dict[str, Sequence[DrawdownEpisode]],
                         top: int = 5, decimals: int = 3) -> list[list[str]]:
     """Rank-by-strategy rows: header then one row per rank (depth text)."""
-    names = list(episodes_by_name)
-    ranked = {name: top_drawdowns(eps, top) for name, eps in episodes_by_name.items()}
-    rows = [["rank"] + [f"DD.{name}" for name in names]]
-    for i in range(top):
-        row = [str(i + 1)]
-        for name in names:
-            eps = ranked[name]
-            row.append(f"{eps[i].depth:.{decimals}f}" if i < len(eps) else "")
-        rows.append(row)
-    return rows
+    depths = [[f"{ep.depth:.{decimals}f}" for ep in top_drawdowns(eps, top)]
+              for eps in episodes_by_name.values()]
+    return [["rank"] + [f"DD.{name}" for name in episodes_by_name]] + \
+        [[str(i + 1)] + [d[i] if i < len(d) else "" for d in depths] for i in range(top)]
 
 
 def summary_table_rows(stats_by_name: dict[str, SummaryStats]) -> list[list[str]]:

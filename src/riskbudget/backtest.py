@@ -18,7 +18,8 @@ cumulative returns through ``t-1``. Fills happen at week ``t``'s median
 price, which is exactly the panel price. Holdings drift with asset
 returns between rebalances; turnover and proportional costs are measured
 against the drifted weights. Cash earns nothing and leverage is financed
-at zero rate (documented simplification).
+at zero rate (documented simplification). A week's loss takes a value to
+0 at most: a ruined strategy then holds nothing and pays no cost.
 """
 
 from __future__ import annotations
@@ -313,7 +314,8 @@ def _walk(panel: WeeklyPanel, rets: np.ndarray,
         covs = {}  # psd_eps -> the week's prepared covariance
         for i, cfg in enumerate(configs):
             growth = 1.0 + float(prev[i] @ week_ret)
-            value[i] *= growth
+            # a loss beyond the whole value ruins the strategy: absorbed at 0
+            value[i] = max(0.0, value[i] * growth)
             drifted = prev[i] * (1.0 + week_ret) / growth if growth > 0 else np.zeros(n)
 
             if cfg.strategy not in BENCHMARKS and cfg.psd_eps not in covs:
@@ -322,11 +324,14 @@ def _walk(panel: WeeklyPanel, rets: np.ndarray,
                                 cum_returns=cum_returns, prev_weights=drifted,
                                 tickers=panel.tickers, solves=solves)
             note = ""
-            try:
-                target, lev = strategy_weights(t, state, cfg)
-            except (AllocationError, NotPositiveDefinite) as exc:
-                target, lev = np.zeros(n), 0.0
-                note = f"abstained: {exc}"
+            if value[i] == 0.0:
+                target, lev, note = np.zeros(n), 0.0, "ruined: the value reached 0"
+            else:
+                try:
+                    target, lev = strategy_weights(t, state, cfg)
+                except (AllocationError, NotPositiveDefinite) as exc:
+                    target, lev = np.zeros(n), 0.0
+                    note = f"abstained: {exc}"
 
             turnover = float(np.abs(target - drifted).sum())
             cost = cfg.mu * turnover * value[i]

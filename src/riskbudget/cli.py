@@ -56,10 +56,8 @@ from . import __version__
 from .allocation import InfeasibleAllocation, problem_from_json, solve_allocation
 from .analytics import (
     align_rows,
-    drawdowns,
-    format_drawdown_table,
-    format_summary_table,
     drawdown_table_rows,
+    drawdowns,
     summary,
     summary_table_rows,
 )
@@ -130,11 +128,9 @@ def _write_tables(ledgers, top: int, out_dir: str | None, text_files: bool) -> s
     eps = {name: drawdowns(np.concatenate([[1.0], led.values]),
                            dates=[led.dates[0]] + list(led.dates))
            for name, led in ledgers.items()}
-    texts = {"drawdowns": format_drawdown_table(eps, top=top),
-             "summary": format_summary_table(stats)}
+    rows = {"drawdowns": drawdown_table_rows(eps, top=top), "summary": summary_table_rows(stats)}
+    texts = {name: align_rows(table) for name, table in rows.items()}
     if out_dir:
-        rows = {"drawdowns": drawdown_table_rows(eps, top=top),
-                "summary": summary_table_rows(stats)}
         os.makedirs(out_dir, exist_ok=True)
         for name, text in texts.items():
             if text_files:

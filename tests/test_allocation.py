@@ -52,6 +52,8 @@ class TestProblemValidation:
         ({"lam": np.inf}, "lambda must be a finite number >= 0, got inf"),
         ({"mu": -0.001}, "mu must be a finite number >= 0"),
         ({"mu": np.nan}, "mu must be a finite number >= 0"),
+        ({"assets": ("SPY", "SPY")}, "^assets: name 'SPY' is repeated$"),
+        ({"assets": ("A", "")}, "^assets: name '' is empty$"),
     ])
     def test_construction_rejects(self, fields, message):
         with pytest.raises(ValueError, match=message):
@@ -166,6 +168,14 @@ class TestSolveAllocation:
         assert exc.value.report == ["upper bounds sum to 0.5 < 1",
                                     "AGG: positive budget with zero upper bound"]
 
+    def test_infeasible_without_a_hint_says_so(self):
+        # caps sum past 1 and no budget lies beyond reach by the 0.5 margin
+        # of the hints, yet asset 1's cap of 0.05 holds its share near 0.003
+        p = AllocationProblem(cov=np.eye(2) * 0.04, budgets=[0.5, 0.5], upper=[1.0, 0.05])
+        with pytest.raises(InfeasibleAllocation) as exc:
+            solve_allocation(p)
+        assert exc.value.report == ["budgets and bounds jointly admit no portfolio"]
+
     def test_lower_bounds_sum_above_one_is_infeasible(self):
         p = AllocationProblem(cov=np.eye(2) * 0.04, budgets=[0.2, 0.2],
                               lower=[0.8, 0.8], upper=[1.0, 1.0])
@@ -234,6 +244,12 @@ class TestExpectedStats:
         p = AllocationProblem(cov=np.eye(2), budgets=[0.5, 0.5])
         assert expected_stats(p, np.zeros(2)) == (0.0, 0.0)
 
+    @pytest.mark.parametrize("weights", [[1.0], [0.5, 0.25, 0.25]])
+    def test_wrong_number_of_weights_is_named(self, weights):
+        p = AllocationProblem(cov=np.eye(2), budgets=[0.5, 0.5])
+        with pytest.raises(ValueError, match=f"^weights have {len(weights)} entries, expected 2$"):
+            expected_stats(p, weights)
+
     def test_matches_loop_oracle(self):
         rng = np.random.default_rng(6)
         c = random_pd(4, rng)
@@ -285,9 +301,15 @@ class TestJson:
         ("cov", [[1.0, "x"], ["x", 1.0]], "^cov: entries must be numbers$"),
         ("budgets", ["0.5", "0.5"], "^budgets: entries must be numbers$"),
         ("upper", [1.0, True], "^upper: entries must be numbers$"),
+        ("cov", 5, "^cov: expected a non-empty list of rows$"),
+        # two weights of one name would collapse into one key of the output
+        ("assets", ["SPY", "SPY"], "^assets: name 'SPY' is repeated$"),
+        # no field: the value is the whole document
+        (None, [[1.0, 0.0], [0.0, 1.0]], "^problem: expected a JSON object$"),
     ])
     def test_bad_field_named(self, field, value, message):
-        doc = {"cov": [[1.0, 0.0], [0.0, 1.0]], "budgets": [0.5, 0.5], field: value}
+        doc = value if field is None else {"cov": [[1.0, 0.0], [0.0, 1.0]], "budgets": [0.5, 0.5],
+                                           field: value}
         with pytest.raises(ValueError, match=message):
             problem_from_json(json.dumps(doc))
 

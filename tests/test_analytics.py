@@ -95,6 +95,26 @@ class TestDrawdowns:
         with pytest.raises(ValueError):
             drawdowns([1.0, -1.0, 2.0])
 
+    @pytest.mark.parametrize("values, dates, message", [
+        ([1.0, -1.0, 2.0], None, "equity curve values must be nonnegative and finite"),
+        ([1.0, np.nan, 2.0], None, "equity curve values must be nonnegative and finite"),
+        ([1.0, np.inf, 2.0], None, "equity curve values must be nonnegative and finite"),
+        ([1.0, 0.9, 1.1], ["a", "b"], "2 labels for 3 values"),
+    ])
+    def test_malformed_curve_is_named(self, values, dates, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            drawdowns(values, dates=dates)
+
+    def test_ruined_curve_is_one_episode_of_full_depth(self):
+        # a curve absorbed at 0 never recovers: one episode, all of the peak lost
+        eps = drawdowns([1.0, 1.2, 0.0, 0.0])
+        assert [(ep.from_date, ep.trough_date, ep.to_date, ep.depth) for ep in eps] == [(1, 2, 3, 1.0)]
+
+    def test_ties_with_the_peak_close_the_episode(self):
+        # a return to the peak's value recovers; the tied point is the next peak
+        eps = drawdowns([100.0, 90.0, 100.0, 80.0, 100.0])
+        assert [(ep.from_date, ep.trough_date, ep.to_date) for ep in eps] == [(0, 1, 2), (2, 3, 4)]
+
 
 class TestTopDrawdowns:
     def test_sorted_descending(self):
@@ -133,6 +153,14 @@ class TestSummary:
                                            costs=[0.001, 0.0001, 0.0002]))
         assert stats.total_turnover == pytest.approx(1.3)
         assert stats.total_cost == pytest.approx(0.0013)
+
+    def test_ruined_ledger_loses_everything(self):
+        # the week of ruin returns -1, and each week after it 0
+        stats = summary(ledger_from_values([1.1, 0.0, 0.0, 0.0]))
+        assert stats.total_return == -1.0
+        assert stats.max_drawdown == 1.0
+        rets = np.array([0.1, -1.0, 0.0, 0.0])
+        assert stats.annualized_vol == pytest.approx(np.std(rets, ddof=1) * np.sqrt(52))
 
     def test_vol_matches_hand_computation(self):
         values = np.array([1.02, 1.01, 1.05])

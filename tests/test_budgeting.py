@@ -71,6 +71,16 @@ class TestSolveVanilla:
         with pytest.raises(ValueError, match="sum to 1"):
             solve_vanilla(np.eye(2), np.array([0.3, 0.3]))
 
+    @pytest.mark.parametrize("cov, shape", [
+        (np.eye(3), (3, 3)),
+        (np.ones((2, 3)), (2, 3)),
+        (np.ones(2), (2,)),
+    ])
+    def test_cov_of_another_size_is_named(self, cov, shape):
+        with pytest.raises(ValueError) as exc:
+            solve_vanilla(cov, np.array([0.5, 0.5]))
+        assert str(exc.value) == f"cov shape {shape} does not match 2 budgets"
+
     def test_propagates_not_positive_definite(self):
         with pytest.raises(NotPositiveDefinite):
             solve_vanilla(np.array([[1.0, 2.0], [2.0, 1.0]]), np.array([0.5, 0.5]))

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from riskbudget import cli
-from riskbudget.backtest import DEFAULT_SOLVER_OPTIONS, BacktestConfig, run
+from riskbudget.backtest import DEFAULT_SOLVER_OPTIONS, BacktestConfig, ledger_from_csv, run
 from riskbudget.cli import main
 from riskbudget.solver import SolverOptions
 
@@ -137,6 +137,38 @@ class TestBacktestCommand:
         stdout = capsys.readouterr().out
         assert "total_return" in stdout and "DD.CRB" in stdout
 
+    def test_a_ruined_strategy_stays_at_zero_and_every_table_is_written(self, tmp_path):
+        # B crashes 99% on the first day of week 15, while MRBAL holds it at
+        # leverage 1.5: that week's loss exceeds the whole value
+        rng = np.random.default_rng(0)
+        lines, price = ["date,ticker,close"], {"A": 100.0, "B": 100.0}
+        for w in range(20):
+            for d in range(5):
+                day = date(2021, 1, 4) + timedelta(weeks=w, days=d)
+                price["A"] *= 1 + 0.03 * rng.standard_normal()
+                price["B"] *= (1 + 0.002 * rng.standard_normal()) * (0.01 if (w, d) == (14, 0) else 1)
+                lines += [f"{day.isoformat()},{t},{price[t]:.6f}" for t in "AB"]
+        prices = _write(tmp_path / "prices.csv", "\n".join(lines) + "\n")
+        config = write_config(tmp_path, strategies=["CRB", "MRB", "MRBAL"], budgets=[0.05, 0.05],
+                              **{"lambda": 0.0})
+        out_dir = tmp_path / "out"
+        assert main(["backtest", "--prices", prices, "--config", config, "--out-dir", str(out_dir)]) == 0
+        for name in ("summary.csv", "summary.txt", "drawdowns.csv", "drawdowns.txt", "manifest.json"):
+            assert (out_dir / name).exists(), name
+
+        ledger = ledger_from_csv(str(out_dir / "ledger_MRBAL.csv"))
+        ruin = int(np.flatnonzero(ledger.values == 0.0)[0])
+        assert ledger.dates[ruin] == date(2021, 4, 16)
+        assert ledger.leverage[ruin - 1] == 1.5 and ledger.values[ruin - 1] > 0
+        # from the week of ruin on: no value, no position and no cost
+        after = slice(ruin, None)
+        assert np.all(ledger.values[after] == 0.0) and np.all(ledger.weights[after] == 0.0)
+        assert np.all(ledger.costs[after] == 0.0) and np.all(ledger.leverage[after] == 0.0)
+        assert ledger.abstained[after].all()
+        summary = dict(line.split(",", 1) for line in (out_dir / "summary.csv").read_text().splitlines())
+        assert summary["total_return"].split(",")[-1] == "-1.0000"
+        assert summary["max_drawdown"].split(",")[-1] == "1.0000"
+
     @pytest.mark.parametrize("umask,mode", [(0o022, 0o644), (0o077, 0o600)], ids=["022", "077"])
     def test_outputs_take_the_mode_open_would_give(self, tmp_path, umask, mode):
         prices = write_prices_csv(tmp_path)
@@ -209,6 +241,9 @@ class TestBacktestCommand:
         ("strategies", ["CRB", "MRB", "crb"], "strategy CRB is listed twice"),
         ("strategies", ["MRB", "MRB"], "strategy MRB is listed twice"),
         ("strategies", ["CRB.SMART", "crb_smart"], "strategy CRB_SMART is listed twice"),
+        ("strategies", [], "config.strategies: expected a non-empty list"),
+        # no key: the value is the whole document
+        (None, [], "config: expected a JSON object"),
     ])
     def test_bad_setting_exits_1_before_any_week(self, tmp_path, capsys, monkeypatch, key, value,
                                                  message):
@@ -218,8 +253,9 @@ class TestBacktestCommand:
         monkeypatch.setattr(cli, "run", no_run)
         prices = write_prices_csv(tmp_path)
         out_dir = tmp_path / "out"
-        rc = main(["backtest", "--prices", prices, "--config", write_config(tmp_path, **{key: value}),
-                   "--out-dir", str(out_dir)])
+        config = (_write(tmp_path / "config.json", json.dumps(value)) if key is None
+                  else write_config(tmp_path, **{key: value}))
+        rc = main(["backtest", "--prices", prices, "--config", config, "--out-dir", str(out_dir)])
         assert rc == 1
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out_dir.exists()

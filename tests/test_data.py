@@ -233,13 +233,16 @@ def test_malformed_row_names_line_and_value(reader, header, good, row, message):
     assert isinstance(exc.value, ValueError)
 
 
-# a header must name each ticker once, non-empty: the weekly panel and the
-# ledger's w_ columns hold one column per asset
+# a header must open with its fixed columns and name each ticker once,
+# non-empty: the weekly panel and the ledger's w_ columns hold one column per
+# asset
 @pytest.mark.parametrize("reader, header, row, message", [
     pytest.param(panel_from_csv, "date,A,A", "2020-01-10,1.5,2.5",
                  "header cell 'A' repeats ticker 'A'", id="panel-repeat"),
     pytest.param(panel_from_csv, "date,,B", "2020-01-10,1.5,2.5",
                  "header cell '' names no ticker", id="panel-empty"),
+    pytest.param(panel_from_csv, "day,A", "2020-01-10,1.5",
+                 "unrecognized panel header 'day,A'", id="panel-no-date"),
     pytest.param(ledger_from_csv, "date,value,qqA,leverage,cost,turnover,abstained",
                  "2021-01-08,1.0,1.0,1.0,0.0,0.0,False",
                  "header cell 'qqA' names no ticker, expected w_<ticker>", id="ledger-prefix"),
@@ -255,6 +258,19 @@ def test_header_names_each_ticker_once(reader, header, row, message):
         reader(io.StringIO(f"{header}\n{row}\n"))
     assert exc.value.line == 1
     assert str(exc.value) == f"line 1: {message}"
+
+
+@pytest.mark.parametrize("read, error, message", [
+    pytest.param(lambda: load_csv(io.StringIO("date,ticker,close\n")), ParseError,
+                 "no data rows found", id="prices-header-only"),
+    pytest.param(lambda: panel_from_csv(io.StringIO("date,A\n")), ParseError,
+                 "no data rows found", id="panel-header-only"),
+    pytest.param(lambda: to_weekly({}), EmptyIntersection, "no assets supplied", id="weekly-empty"),
+])
+def test_input_without_prices_is_rejected(read, error, message):
+    with pytest.raises(error) as exc:
+        read()
+    assert str(exc.value) == message
 
 
 class TestWeeklyPanelInvariants:

@@ -182,3 +182,9 @@ class TestCovariance:
     def test_insufficient_history(self):
         with pytest.raises(InsufficientHistory):
             covariance(np.array([[0.01, 0.02]]))
+
+    @pytest.mark.parametrize("shape", [(2, 2, 2), (3, 2, 1, 1)])
+    def test_panel_of_more_than_two_axes_is_named(self, shape):
+        with pytest.raises(ValueError) as exc:
+            covariance(np.zeros(shape))
+        assert str(exc.value) == f"returns must be a 2-d panel, got shape {shape}"

@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import os
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -449,6 +450,79 @@ def test_degrading_iterates_end_the_solve():
     assert sol.status is SolveStatus.NumericalFailure
     assert sol.iterations <= 44
     assert max(sol.primal_residual, sol.dual_residual, sol.gap) < 1e-4
+
+
+def _assert_stopped_at_best(sol, prog, systems):
+    """``sol`` stopped after forming ``systems`` Newton systems, reporting the
+    best of the points before the failed one: that of the solve capped
+    just short of the last system."""
+    capped = solve(prog, SolverOptions(max_iters=systems - 1))
+    assert sol.status is SolveStatus.NumericalFailure
+    assert sol.iterations == systems == capped.iterations + 1
+    assert np.array_equal(sol.primal, capped.primal)
+    assert np.array_equal(sol.dual, capped.dual)
+
+
+def test_a_failed_factorization_ends_the_solve(monkeypatch):
+    prog = _allocation_program(5, 0.001, 0)
+    real, calls = solver_module.sla.lu_factor, []
+
+    def failing_third(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 3:
+            raise solver_module.sla.LinAlgError("singular matrix")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(solver_module.sla, "lu_factor", failing_third)
+    sol = solve(prog)
+    monkeypatch.undo()
+    _assert_stopped_at_best(sol, prog, 3)
+
+
+def test_a_non_finite_direction_ends_the_solve(monkeypatch):
+    # three KKT solves a predictor-corrector iteration: the ninth is the
+    # third iteration's corrector, after its u1 and predictor were finite
+    prog = _allocation_program(5, 0.001, 0)
+    real, calls = solver_module._KKT.solve3, []
+
+    def poisoned_ninth(self, *rho):
+        calls.append(None)
+        out = real(self, *rho)
+        return tuple(np.full_like(v, np.nan) for v in out) if len(calls) == 9 else out
+
+    monkeypatch.setattr(solver_module._KKT, "solve3", poisoned_ninth)
+    sol = solve(prog)
+    monkeypatch.undo()
+    _assert_stopped_at_best(sol, prog, 3)
+
+
+def test_a_singular_embedding_row_ends_the_solve(monkeypatch):
+    # at the start tau = kappa = 1, so a first u1 with c'dx = 1 (c[0] = 1)
+    # makes the denominator of dtau exactly 0: no division may follow
+    prog = Builder(2).eq([np.ones(2)], 1.0).leq(-np.eye(2), np.zeros(2)).program([1.0, 2.0])
+    real, calls = solver_module._KKT.solve3, []
+
+    def singular_first(self, *rho):
+        calls.append(None)
+        dx, dy, dz = real(self, *rho)
+        return (e(2, 0), np.zeros_like(dy), np.zeros_like(dz)) if len(calls) == 1 else (dx, dy, dz)
+
+    monkeypatch.setattr(solver_module._KKT, "solve3", singular_first)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        sol = solve(prog)
+    monkeypatch.undo()
+    _assert_stopped_at_best(sol, prog, 1)
+
+
+def test_a_vanishing_step_ends_the_solve(monkeypatch):
+    # a zero step leaves the iterate where it was: one Newton system, not
+    # max_iters of them
+    prog = _allocation_program(5, 0.001, 0)
+    monkeypatch.setattr(ConeStructure, "max_step", lambda self, *args: 0.0)
+    sol = solve(prog)
+    monkeypatch.undo()
+    _assert_stopped_at_best(sol, prog, 1)
 
 
 @pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
