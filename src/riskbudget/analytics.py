@@ -56,6 +56,16 @@ class SummaryStats:
     n_periods: int
 
 
+def _equity_curve(values) -> np.ndarray:
+    """``values`` as a float vector, checked to be an equity curve."""
+    v = np.asarray(values, dtype=float).ravel()
+    if v.size < 2:
+        raise EmptySeries(f"need at least 2 points, got {v.size}")
+    if np.any(v < 0) or not np.all(np.isfinite(v)):
+        raise ValueError("equity curve values must be nonnegative and finite")
+    return v
+
+
 def drawdowns(values, dates: Sequence | None = None) -> list[DrawdownEpisode]:
     """All drawdown episodes of a nonnegative equity curve, in time order.
 
@@ -65,11 +75,7 @@ def drawdowns(values, dates: Sequence | None = None) -> list[DrawdownEpisode]:
     ``dates`` labels the points (indices when omitted). A curve that
     reaches 0 is ruined, and its episode is 1.0 deep.
     """
-    v = np.asarray(values, dtype=float).ravel()
-    if v.size < 2:
-        raise EmptySeries(f"need at least 2 points, got {v.size}")
-    if np.any(v < 0) or not np.all(np.isfinite(v)):
-        raise ValueError("equity curve values must be nonnegative and finite")
+    v = _equity_curve(values)
     labels = list(dates) if dates is not None else list(range(v.size))
     if len(labels) != v.size:
         raise ValueError(f"{len(labels)} labels for {v.size} values")
@@ -94,15 +100,13 @@ def summary(ledger: BacktestLedger) -> SummaryStats:
 
     A ruined curve (value 0) earns 0 in each week after the ruin.
     """
-    curve = np.concatenate([[1.0], ledger.values])
+    curve = _equity_curve(np.concatenate([[1.0], ledger.values]))
     rets = np.divide(curve[1:], curve[:-1], out=np.ones(curve.size - 1), where=curve[:-1] > 0) - 1.0
     vol = float(np.std(rets, ddof=1)) * np.sqrt(WEEKS_PER_YEAR) if rets.size >= 2 else 0.0
-    eps = drawdowns(curve)
-    max_dd = max((ep.depth for ep in eps), default=0.0)
     return SummaryStats(
         total_return=float(curve[-1] / curve[0] - 1.0),
         annualized_vol=vol,
-        max_drawdown=float(max_dd),
+        max_drawdown=float(np.max(1.0 - curve / np.maximum.accumulate(curve))),
         total_turnover=float(ledger.turnover.sum()),
         total_cost=float(ledger.costs.sum()),
         n_periods=ledger.n_periods,

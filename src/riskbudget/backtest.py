@@ -336,7 +336,7 @@ def _walk(panel: WeeklyPanel, rets: np.ndarray,
             turnover = float(np.abs(target - drifted).sum())
             cost = cfg.mu * turnover * value[i]
             value[i] -= cost
-            rows[i].append((target, value[i], lev if np.any(target) else 0.0, cost, turnover, note))
+            rows[i].append((target, value[i], lev, cost, turnover, note))
             prev[i] = target
         solves.clear()
 

@@ -65,7 +65,6 @@ from .backtest import (
     DEFAULT_SOLVER_OPTIONS,
     STRATEGIES,
     BacktestConfig,
-    check_panel,
     ledger_from_csv,
     ledger_to_csv,
     run,
@@ -124,10 +123,8 @@ def _write_tables(ledgers, top: int, out_dir: str | None, text_files: bool) -> s
     returns the aligned text of both tables for printing.
     """
     stats = {name: summary(led) for name, led in ledgers.items()}
-    # the 1.0 inception point shares the first ledger date as its label
-    eps = {name: drawdowns(np.concatenate([[1.0], led.values]),
-                           dates=[led.dates[0]] + list(led.dates))
-           for name, led in ledgers.items()}
+    # the tables print depths only, so the episodes need no date labels
+    eps = {name: drawdowns(np.concatenate([[1.0], led.values])) for name, led in ledgers.items()}
     rows = {"drawdowns": drawdown_table_rows(eps, top=top), "summary": summary_table_rows(stats)}
     texts = {name: align_rows(table) for name, table in rows.items()}
     if out_dir:
@@ -199,9 +196,8 @@ def cmd_backtest(args) -> int:
     if not isinstance(names, (list, tuple)) or not names:
         raise ValueError("config.strategies: expected a non-empty list")
     solver_opts = _solver_options(args, DEFAULT_SOLVER_OPTIONS)
-    # every config is built and checked against the panel before any week runs
+    # every config is built, and ``run`` checks them all, before any week runs
     configs = [BacktestConfig(strategy=s, solver_options=solver_opts, **cfg_kwargs) for s in names]
-    check_panel(panel, configs)
     ledgers = run(panel, configs)
 
     os.makedirs(args.out_dir, exist_ok=True)

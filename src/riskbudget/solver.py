@@ -318,16 +318,14 @@ def solve(p: ConeProgram, opts: SolverOptions | None = None) -> ConeSolution:
     m = struct.dim
     c = p.c
 
-    # row equilibration: per-row for equalities/inequalities, one uniform
-    # factor per second-order block (cones are invariant under positive
-    # scaling); termination is still measured against the original data
-    def row_scale(norms):
-        # all-zero rows (constant slack entries) do not influence scaling
-        return np.where(norms > 1e-300, norms, 1.0)
-
-    d_eq = row_scale(np.linalg.norm(aeq, axis=1))
+    # row equilibration: per-row for equalities (an all-zero row keeps 1),
+    # one uniform factor per second-order block (cones are invariant under
+    # positive scaling), none for nonneg rows; termination is still
+    # measured against the original data
+    d_eq = np.linalg.norm(aeq, axis=1)
+    d_eq[d_eq <= 1e-300] = 1.0
     row_norms = g.row_norms()
-    d_cone = row_scale(row_norms)
+    d_cone = np.ones(m)
     for lo, hi in struct.soc_slices:
         # rows negligible against the block's largest (all-zero rows, or
         # floors near 1e-200 on the allocation program) would drag the

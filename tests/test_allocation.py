@@ -168,6 +168,15 @@ class TestSolveAllocation:
         assert exc.value.report == ["upper bounds sum to 0.5 < 1",
                                     "AGG: positive budget with zero upper bound"]
 
+    def test_unreachable_budget_hint(self):
+        # held at its cap of 0.2 beside a whole unit of B, A carries about
+        # 0.14 of the risk, more than 0.5 short of its budget of 0.9
+        p = AllocationProblem(cov=np.diag([0.04, 0.01]), budgets=[0.9, 0.1], upper=[0.2, 1.0],
+                              assets=("A", "B"))
+        with pytest.raises(InfeasibleAllocation) as exc:
+            solve_allocation(p)
+        assert exc.value.report == ["A: budget 0.9 looks unreachable under the upper bounds"]
+
     def test_infeasible_without_a_hint_says_so(self):
         # caps sum past 1 and no budget lies beyond reach by the 0.5 margin
         # of the hints, yet asset 1's cap of 0.05 holds its share near 0.003

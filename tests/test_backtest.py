@@ -455,12 +455,22 @@ class TestPrepareCovariance:
         hist = rng.standard_normal((10, 3)) * 0.02
         cov = prepare_covariance(hist)
         assert np.array_equal(cov, np.cov(hist.T, ddof=1)) or np.allclose(cov, np.cov(hist.T, ddof=1), atol=1e-18)
+        # the sample covariance itself: a matrix that clears the floor is not rebuilt
+        assert np.array_equal(cov, linalg.covariance(hist))
 
     def test_rank_deficient_repaired(self):
         hist = np.array([[0.01, 0.02], [0.02, 0.04]])  # 2 obs -> rank 1
         cov = prepare_covariance(hist, psd_eps=1e-6)
         np.linalg.cholesky(cov)  # now factorizable
         assert np.linalg.eigvalsh(cov)[0] >= 1e-6 - 1e-12
+
+    def test_a_zero_floor_still_repairs_to_a_factorizable_matrix(self):
+        # psd_eps 0 is raised to 1e-16: lifting the rank-deficient window's
+        # roundoff eigenvalues (near +-1e-20) only to 0 leaves it singular
+        hist = np.random.default_rng(0).standard_normal((3, 6)) * 0.02  # rank 2
+        cov = prepare_covariance(hist, psd_eps=0.0)
+        linalg.cholesky(cov)
+        assert np.linalg.eigvalsh(cov)[0] > 0
 
     def test_repair_reuses_the_gate_eigendecomposition(self, monkeypatch):
         hist = np.random.default_rng(16).standard_normal((3, 5)) * 0.02  # rank 2

@@ -13,8 +13,8 @@ from riskbudget.budgeting import (
 from riskbudget.linalg import NotPositiveDefinite
 
 # three assets, covariance condition number 9.4e10, one budget of 1.3e-4:
-# the damped Newton steps stall here and only the coordinate-descent
-# fallback reaches the tolerance
+# the damped Newton steps stall here once, and the coordinate-descent
+# fallback takes over (without it, Newton recovers three iterations later)
 VANILLA_FALLBACK = os.path.join(os.path.dirname(__file__), "data", "vanilla_fallback.json")
 
 
@@ -56,12 +56,33 @@ class TestSolveVanilla:
             rc = risk_contributions(c, x)
             assert np.abs(rc - b).max() <= 1e-7
 
+    def test_variance_scale_does_not_loosen_the_budgets(self):
+        # the Newton arithmetic runs on the covariance over its mean
+        # variance; on the raw matrix at this scale the tolerance test,
+        # relative to 1 + max|Cx|, stops with shares about 3e-9 off
+        rng = np.random.default_rng(0)
+        c = random_pd(10, rng) * 1e-8
+        b = rng.dirichlet(np.ones(10))
+        x = solve_vanilla(c, b)
+        assert np.abs(risk_contributions(c, x) - b).max() <= 1e-12
+
     def test_coordinate_descent_rescues_stalled_newton(self):
         with open(VANILLA_FALLBACK) as fh:
             doc = json.load(fh)
         cov, b = np.array(doc["cov"]), np.array(doc["budgets"])
         x = solve_vanilla(cov, b)
         assert np.abs(risk_contributions(cov, x) - b).max() <= 1e-7
+
+    def test_coordinate_descent_ends_a_newton_stall(self):
+        # five assets, covariance condition number 9.7e8: without the
+        # fallback the damped Newton steps never reach the tolerance
+        rng = np.random.default_rng(1279)
+        q, _ = np.linalg.qr(rng.standard_normal((5, 5)))
+        c = (q * 10.0 ** rng.uniform(-12, 0, 5)) @ q.T
+        c = 0.5 * (c + c.T)
+        b = rng.dirichlet(np.ones(5))
+        x = solve_vanilla(c, b)
+        assert np.abs(risk_contributions(c, x) - b).max() <= 1e-7
 
     def test_rejects_zero_budget(self):
         with pytest.raises(ValueError, match="strictly positive"):

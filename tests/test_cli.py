@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from riskbudget import cli
+from riskbudget import backtest, cli
 from riskbudget.backtest import DEFAULT_SOLVER_OPTIONS, BacktestConfig, ledger_from_csv, run
 from riskbudget.cli import main
 from riskbudget.solver import SolverOptions
@@ -164,6 +164,8 @@ class TestBacktestCommand:
         after = slice(ruin, None)
         assert np.all(ledger.values[after] == 0.0) and np.all(ledger.weights[after] == 0.0)
         assert np.all(ledger.costs[after] == 0.0) and np.all(ledger.leverage[after] == 0.0)
+        # nothing to drift at a growth of 0 or below: no turnover either
+        assert np.all(ledger.turnover[after] == 0.0)
         assert ledger.abstained[after].all()
         summary = dict(line.split(",", 1) for line in (out_dir / "summary.csv").read_text().splitlines())
         assert summary["total_return"].split(",")[-1] == "-1.0000"
@@ -182,6 +184,18 @@ class TestBacktestCommand:
             os.umask(old)
         for name in ("ledger_CRB.csv", "summary.csv", "manifest.json"):
             assert (out_dir / name).stat().st_mode & 0o777 == mode, name
+
+    def test_a_failed_write_leaves_no_temporary_file(self, tmp_path, capsys):
+        # a directory where summary.csv goes: the rename fails and the
+        # temporary file it would have replaced is removed
+        prices = write_prices_csv(tmp_path)
+        config = write_config(tmp_path, strategies=["CRB"])
+        out_dir = tmp_path / "out"
+        (out_dir / "summary.csv").mkdir(parents=True)
+        assert main(["backtest", "--prices", prices, "--config", config,
+                     "--out-dir", str(out_dir)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not list(out_dir.glob(".tmp_*"))
 
     def test_crb_ledger_equal_weights(self, tmp_path):
         prices = write_prices_csv(tmp_path)
@@ -247,10 +261,10 @@ class TestBacktestCommand:
     ])
     def test_bad_setting_exits_1_before_any_week(self, tmp_path, capsys, monkeypatch, key, value,
                                                  message):
-        def no_run(panel, configs):
+        def no_walk(*args):
             raise AssertionError("a week ran")
 
-        monkeypatch.setattr(cli, "run", no_run)
+        monkeypatch.setattr(backtest, "_walk", no_walk)
         prices = write_prices_csv(tmp_path)
         out_dir = tmp_path / "out"
         config = (_write(tmp_path / "config.json", json.dumps(value)) if key is None
@@ -358,7 +372,7 @@ def test_every_error_is_one_line_from_main(tmp_path, capsys, failure):
 def test_repeats_and_negative_top_are_named(tmp_path, capsys, monkeypatch, failure, message):
     # a negative --top would act as a slice, and a repeated strategy would run
     # twice into one ledger; both stop before any week runs
-    monkeypatch.setattr(cli, "run", lambda panel, configs: pytest.fail("a week ran"))
+    monkeypatch.setattr(backtest, "_walk", lambda *args: pytest.fail("a week ran"))
     argv = FAILURES[failure](tmp_path)
     if argv[0] == "backtest":
         argv += ["--out-dir", str(tmp_path / "out")]

@@ -567,6 +567,25 @@ def test_polish_stops_at_the_roundoff_floor():
     assert sol.iterations <= 10
 
 
+def test_a_zero_equality_row_keeps_a_unit_scale():
+    # min x0 + 2 x1 s.t. 0 = 0, x0 + x1 = 1, x >= 0: the all-zero equality
+    # row has no norm to divide by and keeps the factor 1
+    prog = Builder(2).eq([[0.0, 0.0], [1.0, 1.0]], [0.0, 1.0]).leq(-np.eye(2), np.zeros(2))
+    sol = solve(prog.program([1.0, 2.0]))
+    assert sol.status is SolveStatus.Optimal
+    assert np.abs(sol.primal - [1.0, 0.0]).max() <= 1e-8
+
+
+def test_a_constant_second_order_block_keeps_a_unit_scale():
+    # min x s.t. x >= 1, with the constant slack (2, 1) in a second-order
+    # block: a block with no nonzero A row has no norm to average and keeps
+    # the factor 1, where a mean over no rows would be nan
+    prog = Builder(1).leq([[-1.0]], -1.0).soc(np.zeros((2, 1)), [2.0, 1.0]).program([1.0])
+    sol = solve(prog)
+    assert sol.status is SolveStatus.Optimal
+    assert abs(sol.primal[0] - 1.0) <= 1e-8
+
+
 def test_any_row_order_solves_as_the_canonical_one():
     # SecondOrder blocks ahead of NonNeg rows, and a Zero row last; the
     # structure solves over NonNeg rows first, then the SecondOrder blocks
