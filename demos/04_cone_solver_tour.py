@@ -17,7 +17,7 @@ prog = ConeProgram(c=np.array([1.0]),
                    b=np.array([0.0, 3.0, 4.0]),
                    cones=(SecondOrder(3),))
 sol = solve(prog)
-print(f"  status {sol.status.value}, objective {sol.objective:.12f} (exact: 5)\n")
+print(f"  status {sol.status.value}, objective {sol.objective:.8f} (exact: 5)\n")
 
 print("=== projection of (1, 2, 3) onto the plane x+y+z = 0 ===")
 # variables (x1, x2, x3, t); minimize t with t >= ||x - p||
@@ -30,7 +30,7 @@ b = np.concatenate([[0.0], [0.0], -p])
 prog = ConeProgram(c=np.array([0, 0, 0, 1.0]), A=A, b=b,
                    cones=(Zero(1), SecondOrder(4)))
 sol = solve(prog)
-print(f"  distance {sol.objective:.12f} (exact: {abs(p.sum()) / np.sqrt(3):.12f})")
+print(f"  distance {sol.objective:.8f} (exact: {abs(p.sum()) / np.sqrt(3):.8f})")
 print(f"  projection {np.round(sol.primal[:3], 10)}\n")
 
 print("=== infeasible and unbounded programs get certificates, not crashes ===")

@@ -138,7 +138,7 @@ class AllocationProblem:
         return self.budgets.size
 
     def asset_name(self, i: int) -> str:
-        return self.assets[i] if self.assets else f"asset {i}"
+        return self.assets[i] if self.assets else f"asset{i}"
 
 
 def float_array(name: str, value) -> np.ndarray:

@@ -147,7 +147,7 @@ def cmd_solve(args) -> int:
         print(json.dumps({"status": "infeasible", "report": exc.report}, indent=2))
         return EXIT_INFEASIBLE
 
-    names = problem.assets or tuple(f"asset{i}" for i in range(problem.size))
+    names = [problem.asset_name(i) for i in range(problem.size)]
     stats = result.solver_stats
     doc = {
         "status": "optimal",

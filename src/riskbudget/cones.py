@@ -100,6 +100,10 @@ class ConeStructure:
         """Per second-order block sums of the suffix ``u`` over its last axis."""
         return np.add.reduceat(u, self._starts, axis=-1)
 
+    def blockmax(self, u: np.ndarray) -> np.ndarray:
+        """Per second-order block maxima of the suffix ``u`` over its last axis."""
+        return np.maximum.reduceat(u, self._starts, axis=-1)
+
     def jdot(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         """Per second-order block ``u0 v0 - u1'v1``."""
         return self.blocksum(self.jsign * u[..., self.nnn :] * v[..., self.nnn :])
@@ -179,7 +183,8 @@ class NTScaling:
     quadratic-representation identity P(v)^2 = P(v o v) gives
     W^2 = eta^2 (2 (v o v)(v o v)' - J) and, with (v o v)^-1 = J(v o v),
     W^-2 = eta^-2 (2 J(v o v) (J(v o v))' - J): the same one-vector form as
-    W, from the Jordan square ``vsq`` stored once per scaling.
+    W, from the Jordan square ``vsq`` stored once per scaling. ``gram``
+    builds ``G' W^-2 G`` from that form too.
 
     ``dets`` holds the block determinants of ``s`` and ``z`` as the two
     rows of ``struct.jdot(sz, sz)`` on their stack ``sz = [s; z]``, the one
@@ -200,10 +205,9 @@ class NTScaling:
         self.v = wb / (2.0 * v0[blk])
         self.v[starts] = v0
         self.eta = np.sqrt(ds / dz)
-        self.vtv = struct.blocksum(self.v * self.v)
         # v o v = (v'v, 2 v0 v1) per block
         self.vsq = 2.0 * v0[blk] * self.v
-        self.vsq[starts] = self.vtv
+        self.vsq[starts] = struct.blocksum(self.v * self.v)
         self.w = np.concatenate([np.sqrt(s[:n] / z[:n]), self.eta[blk]])
         self.w_inv = 1.0 / self.w
         self.w_sq = self.w * self.w
@@ -241,38 +245,32 @@ class NTScaling:
         pair (H on the kept columns ``[:plan.k]``, its diagonal on the
         eliminated ones ``[plan.k:]``).
 
-        W^{-2} is a positive diagonal D plus, per SecondOrder block, the
-        rank-two term ``(4 (v'v) Jv (Jv)' - 2 Jv v' - 2 v (Jv)') / eta^2``.
-        The diagonal part is ``K' diag(bincount(idx, scale^2 D)) K``, which
-        ``plan`` splits into a diagonal from the rows of K with one nonzero
-        and a product over the other rows on their column support. The
-        rank-two part needs ``a_k = G_k' J v_k`` and ``b_k = G_k' v_k``,
-        products of the rows of K that second-order rows copy with
-        (those rows) x (blocks) matrices gathered with ``bincount``.
-        No matrix with a row per row of G, or over all columns, is formed.
+        W^{-2} is taken in the form ``apply_inv_sq`` uses: ``w^-2 * negj``
+        on the diagonal (negative on the block heads) plus, per SecondOrder
+        block, the rank-one term ``2 q q' / eta^2`` with ``q = J(v o v)``.
+        The diagonal part is ``K' diag(bincount(idx, scale^2 w^-2 negj)) K``,
+        which ``plan`` splits into a diagonal from the rows of K with one
+        nonzero and one weighted product over the other rows on their column
+        support. The rank-one part needs ``a_k = G_k' q_k``, a product of the
+        rows of K that second-order rows copy with a (those rows) x (blocks)
+        matrix gathered with ``bincount``. No matrix with a row per row of
+        G, or over all columns, is formed.
         """
         st = self.struct
         n = plan.k
-        weight = np.bincount(plan.idx, plan.scale_sq * self.w_inv_sq, minlength=plan.nrows)
+        weight = np.bincount(plan.idx, plan.scale_sq * self.w_inv_sq * st.negj,
+                             minlength=plan.nrows)
         diag = np.bincount(plan.single_col, weight[plan.single] * plan.single_sq,
                            minlength=plan.ncols)
         h = np.zeros((n, n))
         h.flat[:: n + 1] = diag[:n]
-        # the weights are nonnegative, so the rows with several entries give
-        # one symmetric product of those rows scaled by their roots
-        root = plan.multi_k * np.sqrt(weight[plan.multi])[:, None]
-        h[plan.multi_ix] += root.T @ root
+        h[plan.multi_ix] += (plan.multi_k * weight[plan.multi][:, None]).T @ plan.multi_k
         k = self.eta.size
         if k:
-            gathered = np.bincount(plan.cell,
-                                   np.concatenate([plan.soc_scale * self._jv,
-                                                   plan.soc_scale * self.v]),
-                                   minlength=plan.soc_k.shape[0] * 2 * k)
-            ab = plan.soc_k.T @ gathered.reshape(-1, 2 * k)
-            amat, bmat = ab[:, :k], ab[:, k:]
-            inv_eta2 = self.w_inv_sq[st.soc_starts]
-            cross = (amat * inv_eta2) @ bmat.T
-            h[plan.soc_ix] += (amat * (4.0 * self.vtv * inv_eta2)) @ amat.T - 2.0 * (cross + cross.T)
+            gathered = np.bincount(plan.cell, plan.soc_scale * self._jvsq,
+                                   minlength=plan.soc_k.shape[0] * k)
+            amat = plan.soc_k.T @ gathered.reshape(-1, k)
+            h[plan.soc_ix] += (amat * (2.0 * self.w_inv_sq[st.soc_starts])) @ amat.T
         return 0.5 * (h + h.T), diag[n:]
 
 
@@ -286,16 +284,16 @@ class GramPlan:
     rows with a nonzero factor reach has a positive Gram diagonal coupled
     to nothing else; if it also meets at most one equality row, it is
     eliminable. The KKT solve eliminates the trailing run of eliminable
-    columns ``[k:]`` with a diagonal Schur term, from the entries
-    ``eq_row``, ``eq_col``, ``eq_sq`` of ``aeq_elim``, and keeps the
-    columns ``[:k]``: an eliminable column ahead of the last column that is
-    not stays in the LU. On the allocation program with turnover the 2n
-    turnover columns, last in its column order with one turnover row each,
-    are eliminated.
+    columns ``[k:]`` with a diagonal Schur term, the product of the squares
+    ``aeq_elim_sq`` of ``aeq_elim`` with the inverse eliminated diagonal,
+    and keeps the columns ``[:k]``: an eliminable column ahead of the last
+    column that is not stays in the LU. On the allocation program with
+    turnover the 2n turnover columns, last in its column order with one
+    turnover row each, are eliminated.
 
     A row of K that no cone row copies carries no weight. Of the rest, a
     row with one nonzero adds a diagonal entry only, and the rows with
-    more add ``K' D K`` on their column support. The rank-two terms reach
+    more add ``K' D K`` on their column support. The rank-one terms reach
     only the rows of K that second-order rows copy, on those rows' column
     support. Both supports lie in the kept columns: for the allocation
     program, the n asset columns and the epigraph column.
@@ -327,13 +325,10 @@ class GramPlan:
         elim &= np.count_nonzero(aeq, axis=0) <= 1
         self.k = k = int(np.flatnonzero(~elim).max(initial=-1)) + 1
         self.aeq_kept, self.aeq_elim = aeq[:, :k], aeq[:, k:]
-        self.eq_row, self.eq_col = np.nonzero(self.aeq_elim)
-        self.eq_sq = self.aeq_elim[self.eq_row, self.eq_col] ** 2
+        self.aeq_elim_sq = self.aeq_elim**2
 
         self.multi_ix = np.ix_(multi_cols, multi_cols)
         self.soc_ix = np.ix_(soc_cols, soc_cols)
-        # rank-two terms: cell (local K row, block) of a_k, then of b_k
-        nblocks = struct.soc_starts.size
-        cell = np.searchsorted(soc_k, soc_idx) * (2 * nblocks) + struct.block
-        self.cell = np.concatenate([cell, cell + nblocks])
+        # rank-one terms: the cell (local K row, block) of a_k
+        self.cell = np.searchsorted(soc_k, soc_idx) * struct.soc_starts.size + struct.block
         self.soc_scale = g.scale[struct.nnn :]

@@ -253,7 +253,8 @@ class _KKT:
     most one equality row, so they are eliminated as well: LU factors only
     the kept columns K = ``[:plan.k]`` and the equality rows, ``[[H_KK +
     reg, Aeq_K'], [Aeq_K, -reg I - Aeq_D (H_DD + reg)^-1 Aeq_D']]``, whose
-    last term is diagonal, and
+    last term is diagonal, the one product ``Aeq_D^2 @ (1 / (H_DD + reg))``
+    of the squares the plan keeps, and
     ``dx_D = (gx_D - Aeq_D' dy) / (H_DD + reg)``. For the allocation
     program with turnover the order falls from 4n+2 to 2n+2.
     """
@@ -261,11 +262,10 @@ class _KKT:
     def __init__(self, plan, aeq, g, scaling, refine_steps):
         h, h_elim = scaling.gram(plan)
         k, p = plan.k, aeq.shape[0]
-        # the trace of H, summed in column order as ``H.trace()`` would
-        trace = np.concatenate([h.diagonal(), h_elim]).sum()
+        trace = h.trace() + h_elim.sum()
         reg = REG * max(1.0, float(trace) / max(plan.ncols, 1))
         self.delta = h_elim + reg
-        schur = np.bincount(plan.eq_row, plan.eq_sq / self.delta[plan.eq_col], minlength=p)
+        schur = plan.aeq_elim_sq @ (1.0 / self.delta)
         mreg = np.zeros((k + p, k + p))
         mreg[:k, :k] = h
         mreg[:k, k:] = plan.aeq_kept.T
@@ -324,22 +324,22 @@ def solve(p: ConeProgram, opts: SolverOptions | None = None) -> ConeSolution:
     # measured against the original data
     d_eq = np.linalg.norm(aeq, axis=1)
     d_eq[d_eq <= 1e-300] = 1.0
-    row_norms = g.row_norms()
+    # rows negligible against the block's largest (all-zero rows, or
+    # floors near 1e-200 on the allocation program) would drag the
+    # geometric mean down by as many orders of magnitude; a block with no
+    # live row sums no logarithm, so keeps exp(0) = 1
+    soc_norms = g.row_norms()[struct.nnn :]
+    live = soc_norms > np.finfo(float).eps * struct.blockmax(soc_norms)[struct.block]
+    log_sum = struct.blocksum(np.log(np.where(live, soc_norms, 1.0)))
     d_cone = np.ones(m)
-    for lo, hi in struct.soc_slices:
-        # rows negligible against the block's largest (all-zero rows, or
-        # floors near 1e-200 on the allocation program) would drag the
-        # geometric mean down by as many orders of magnitude
-        live = row_norms[lo:hi]
-        live = live[live > np.finfo(float).eps * live.max()]
-        d_cone[lo:hi] = np.exp(np.mean(np.log(live))) if live.size else 1.0
+    d_cone[struct.nnn :] = np.exp(log_sum / np.maximum(struct.blocksum(live), 1))[struct.block]
     aeq = aeq / d_eq[:, None]
     beq = beq / d_eq
     g = g.divide_rows(d_cone)
     h = h / d_cone
     plan = GramPlan(struct, g, aeq)
-    norm_beq_orig = 1.0 + np.linalg.norm(beq * d_eq)
-    norm_h_orig = 1.0 + np.linalg.norm(h * d_cone)
+    norm_beq_orig = 1.0 + np.linalg.norm(p.b[zero_rows])
+    norm_h_orig = 1.0 + np.linalg.norm(p.b[cone_rows])
 
     e = struct.identity()
     deg = max(struct.degree, 1)

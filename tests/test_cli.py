@@ -72,6 +72,19 @@ class TestSolveCommand:
         assert rc == 2
         assert "infeasible" in capsys.readouterr().out
 
+    def test_an_unnamed_asset_has_one_name(self, tmp_path, capsys):
+        # the weights of an unnamed document and the hints of the same
+        # document with the first asset capped at zero name the asset alike
+        doc = {"cov": [[0.04, 0.0], [0.0, 0.0025]], "budgets": [0.4, 0.1]}
+        assert main(["solve", "--config", write_problem(tmp_path, doc)]) == 0
+        out = capsys.readouterr().out
+        names = list(json.loads(out[: out.index("}\n}") + 3])["weights"])
+        doc["upper"] = [0.0, 1.0]
+        assert main(["solve", "--config", write_problem(tmp_path, doc)]) == 2
+        report = json.loads(capsys.readouterr().out)["report"]
+        assert names == ["asset0", "asset1"]
+        assert f"{names[0]}: positive budget with zero upper bound" in report
+
     def test_schema_violation_exits_1_with_field(self, tmp_path, capsys):
         doc = {"cov": [[1.0, 0.0], [0.0, 1.0]], "budgets": [0.5]}
         rc = main(["solve", "--config", write_problem(tmp_path, doc)])

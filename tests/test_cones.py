@@ -130,8 +130,9 @@ def test_gram_plan_finds_the_diagonal_columns():
     aeq = np.array([[1.0, 1.0, 0.0, 0.0], [0.0, 2.0, -1.0, 0.0]])
     plan = GramPlan(ConeStructure([NonNeg(8)]), g, aeq)
     assert plan.k == 2
-    assert list(plan.eq_row) == [1] and list(plan.eq_col) == [0]
-    assert list(plan.eq_sq) == [1.0]
+    # the Schur input: the squares of the eliminated columns' equality
+    # entries, where column 2 meets the second row alone and column 3 none
+    assert plan.aeq_elim_sq.tolist() == [[0.0, 0.0], [1.0, 0.0]]
     # a column whose one-entry rows all carry a zero factor has no diagonal
     # to divide by, so it stays
     g = RowMatrix(-np.eye(2), [0, 1], [0.0, 1.0])
@@ -229,6 +230,38 @@ def test_gram_matches_bruteforce(structs):
         assert not off.any() and not brute[4, :4].any()
 
 
+def near_boundary(struct, rng):
+    """A point whose second-order blocks have determinants from 1e-12 to
+    1e-2 of their squared head, and nonneg rows over six orders."""
+    u = rng.standard_normal(struct.dim)
+    u[: struct.nnn] = 10.0 ** rng.uniform(-3, 3, struct.nnn)
+    for lo, hi in struct.soc_slices:
+        u[lo] = np.linalg.norm(u[lo + 1 : hi]) * np.sqrt(1.0 + 10.0 ** rng.uniform(-12, -2))
+    return u
+
+
+def test_gram_matches_the_scalings_own_inverse_square_near_the_boundary():
+    # on allocation programs, at scalings whose blocks sit close to the cone
+    # boundary (eta and v far from the centre), the Gram agrees with
+    # G' (W^-2 G) taken column by column through apply_inv_sq
+    rng = np.random.default_rng(11)
+    for _ in range(40):
+        n = int(rng.integers(2, 30))
+        a = rng.standard_normal((n, n))
+        prog = build_program(AllocationProblem(
+            cov=a @ a.T / n + 0.1 * np.eye(n), budgets=0.5 * rng.dirichlet(np.ones(n)),
+            forecasts=rng.normal(0.0, 0.01, n), lam=float(rng.choice([0.0, 1.0])),
+            mu=float(rng.choice([0.0, 1e-3])), prev_weights=rng.dirichlet(np.ones(n))))
+        struct = prog.structure
+        g = prog.A.take(struct.cone_rows)
+        w = nt_scaling(struct, near_boundary(struct, rng), near_boundary(struct, rng))
+        plan = GramPlan(struct, g, prog.A.take(struct.zero_rows).toarray())
+        dense = np.asarray(g)
+        ref = dense.T @ np.column_stack([w.apply_inv_sq(col) for col in dense.T])
+        scale = np.abs(ref).max()
+        assert np.abs(full_gram(w, plan) - ref).max() <= 1e-13 * scale
+
+
 def test_max_step(structs):
     rng = np.random.default_rng(3)
     for struct in structs * 50:
@@ -280,7 +313,7 @@ def test_pair_pass_equals_the_per_vector_calls(blocks):
         for u in (sz, dsz):
             assert struct.margin(u) == min(struct.margin(u[0]), struct.margin(u[1]))
         shared, own = NTScaling(struct, s, z, dets), NTScaling(struct, s, z, each)
-        for name in ("eta", "vtv", "v", "vsq", "w", "lmbda"):
+        for name in ("eta", "v", "vsq", "w", "lmbda"):
             assert np.array_equal(getattr(shared, name), getattr(own, name)), name
 
 
