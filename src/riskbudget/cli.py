@@ -4,8 +4,8 @@ Subcommands:
 
 ``riskbudget solve --config problem.json [--tol T] [--max-iters K]``
     Solve one allocation problem (schema documented in
-    :mod:`riskbudget.allocation`); prints the result as JSON followed by a
-    readable table. Exit code 0 on an optimal solution, 2 when the
+    :mod:`riskbudget.allocation`); prints one JSON document, the result or
+    an infeasibility report. Exit code 0 on an optimal solution, 2 when the
     problem is infeasible, 1 on any other error, such as a ``--tol`` not
     finite and > 0, a negative ``--max-iters``, a bad document field or an
     unknown key.
@@ -163,11 +163,6 @@ def cmd_solve(args) -> int:
         },
     }
     print(json.dumps(doc, indent=2))
-    rows = [["asset", "weight", "risk_contribution", "budget", "binding"]]
-    for i, name in enumerate(names):
-        rows.append([name, f"{result.weights[i]:.6f}", f"{result.risk_contribs[i]:.6f}",
-                     f"{problem.budgets[i]:.6f}", "yes" if result.binding_budgets[i] else "no"])
-    print(align_rows(rows))
     return EXIT_OK
 
 

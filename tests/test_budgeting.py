@@ -4,6 +4,7 @@ import os
 import numpy as np
 import pytest
 
+from riskbudget.backtest import panel_returns, prepare_covariance
 from riskbudget.budgeting import (
     DegeneratePortfolio,
     NonConvergence,
@@ -12,9 +13,10 @@ from riskbudget.budgeting import (
 )
 from riskbudget.linalg import NotPositiveDefinite
 
+from backtest_oracles import make_panel
+
 # three assets, covariance condition number 9.4e10, one budget of 1.3e-4:
-# the damped Newton steps stall here once, and the coordinate-descent
-# fallback takes over (without it, Newton recovers three iterations later)
+# Newton steps under an Armijo line search stall here once
 VANILLA_FALLBACK = os.path.join(os.path.dirname(__file__), "data", "vanilla_fallback.json")
 
 
@@ -66,16 +68,16 @@ class TestSolveVanilla:
         x = solve_vanilla(c, b)
         assert np.abs(risk_contributions(c, x) - b).max() <= 1e-12
 
-    def test_coordinate_descent_rescues_stalled_newton(self):
+    def test_three_assets_at_condition_number_9e10(self):
         with open(VANILLA_FALLBACK) as fh:
             doc = json.load(fh)
         cov, b = np.array(doc["cov"]), np.array(doc["budgets"])
         x = solve_vanilla(cov, b)
         assert np.abs(risk_contributions(cov, x) - b).max() <= 1e-7
 
-    def test_coordinate_descent_ends_a_newton_stall(self):
-        # five assets, covariance condition number 9.7e8: without the
-        # fallback the damped Newton steps never reach the tolerance
+    def test_five_assets_at_condition_number_1e9(self):
+        # five assets, covariance condition number 9.7e8: Newton steps
+        # under an Armijo line search stall here for good
         rng = np.random.default_rng(1279)
         q, _ = np.linalg.qr(rng.standard_normal((5, 5)))
         c = (q * 10.0 ** rng.uniform(-12, 0, 5)) @ q.T
@@ -83,6 +85,36 @@ class TestSolveVanilla:
         b = rng.dirichlet(np.ones(5))
         x = solve_vanilla(c, b)
         assert np.abs(risk_contributions(c, x) - b).max() <= 1e-7
+
+    @pytest.mark.parametrize("seed, weeks, base, step, t", [
+        (21, 10, 100, lambda z: 1.001 + np.abs(z) * 0.02, 4),
+        (13, 15, 80, lambda z: 1.0 + z * 0.02, 3),
+    ], ids=["lockstep", "leverage"])
+    def test_rank_deficient_backtest_week(self, seed, weeks, base, step, t):
+        # the week t panels of TestLockstep::test_a_problem_shared_within_a_week_solves_once
+        # and TestEngineDiscipline::test_leverage_within_bounds: three
+        # returns of three assets, a rank-2 sample repaired at the default floor
+        rng = np.random.default_rng(seed)
+        prices = base * np.cumprod(step(rng.standard_normal((weeks, 3))), axis=0)
+        c = prepare_covariance(panel_returns(make_panel(prices))[: t - 1])
+        x = solve_vanilla(c, np.full(3, 1 / 3))
+        assert np.all(x > 0)
+        assert np.abs(risk_contributions(c, x) - 1 / 3).max() <= 1e-7
+
+    def test_ill_conditioned_problems_converge(self):
+        # eigenvalues spread over ten decades on a random basis, budgets
+        # down to 1e-9
+        rng = np.random.default_rng(0)
+        for _ in range(300):
+            n = int(rng.integers(2, 31))
+            q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+            c = (q * 10.0 ** rng.uniform(-10, 0, n)) @ q.T
+            c = 0.5 * (c + c.T)
+            b = np.maximum(rng.dirichlet(np.ones(n)), 1e-9)
+            b /= b.sum()
+            x = solve_vanilla(c, b)
+            assert np.all(x > 0)
+            assert np.abs(risk_contributions(c, x) - b).max() <= 1e-7
 
     def test_rejects_zero_budget(self):
         with pytest.raises(ValueError, match="strictly positive"):
