@@ -57,11 +57,15 @@ class InfeasibleAllocation(AllocationError):
 
 
 class SolverFailure(AllocationError):
-    """The cone solver stopped without an optimal point or a certificate."""
+    """The cone solver stopped without an optimal point or a certificate;
+    ``solution`` is the :class:`ConeSolution` it stopped with."""
 
-    def __init__(self, status: SolveStatus, detail: str = ""):
-        self.status = status
-        super().__init__(f"solver stopped with status {status.value}" + (f" ({detail})" if detail else ""))
+    def __init__(self, solution: ConeSolution):
+        self.solution = solution
+        self.status = solution.status
+        super().__init__(f"solver stopped with status {solution.status.value} "
+                         f"(pres {solution.primal_residual:.1e} dres {solution.dual_residual:.1e} "
+                         f"gap {solution.gap:.1e} after {solution.iterations} iterations)")
 
 
 @dataclass(frozen=True)
@@ -91,7 +95,7 @@ class AllocationProblem:
     def __post_init__(self):
         cov = float_array("cov", self.cov)
         object.__setattr__(self, "cov", cov)
-        object.__setattr__(self, "budgets", float_array("budgets", self.budgets).ravel())
+        object.__setattr__(self, "budgets", floor_vector(self.budgets))
         n = self.size
 
         def vec(name, value, default):
@@ -117,17 +121,13 @@ class AllocationProblem:
             for i, name in enumerate(self.assets):
                 if not name or name in self.assets[:i]:
                     raise ValueError(f"assets: name {name!r} is {'repeated' if name else 'empty'}")
-        for name in ("cov", "budgets", "forecasts", "prev_weights", "lower"):
+        for name in ("cov", "forecasts", "prev_weights", "lower"):
             if not np.isfinite(getattr(self, name)).all():
                 raise ValueError(f"{name} has non-finite entries")
         if np.isnan(self.upper).any():
             raise ValueError("upper has NaN entries")
         if not np.allclose(cov, cov.T, atol=1e-12):
             raise ValueError("cov must be symmetric")
-        if np.any(self.budgets < 0):
-            raise ValueError("budgets must be nonnegative")
-        if self.budgets.sum() > 1.0 + 1e-12:
-            raise ValueError(f"budgets sum to {float(self.budgets.sum())!r} > 1")
         if np.any(self.lower < 0) or np.any(self.upper < self.lower):
             raise ValueError("bounds must satisfy 0 <= lower <= upper")
         require_number("lambda", self.lam, 0)
@@ -148,6 +148,18 @@ def float_array(name: str, value) -> np.ndarray:
     if not all(issubclass(t, numbers.Real) and not issubclass(t, bool) for t in types):
         raise ValueError(f"{name}: entries must be numbers")
     return np.asarray(arr, dtype=float)
+
+
+def floor_vector(value) -> np.ndarray:
+    """``value`` as a vector of floors; raise ``ValueError`` unless finite, nonnegative, summing to <= 1."""
+    budgets = float_array("budgets", value).ravel()
+    if not np.isfinite(budgets).all():
+        raise ValueError("budgets has non-finite entries")
+    if np.any(budgets < 0):
+        raise ValueError("budgets must be nonnegative")
+    if budgets.sum() > 1.0 + 1e-12:
+        raise ValueError(f"budgets sum to {float(budgets.sum())!r} > 1")
+    return budgets
 
 
 def require_number(name: str, value, low: float) -> None:
@@ -287,9 +299,7 @@ def solve_allocation(problem: AllocationProblem,
     if sol.status is SolveStatus.Infeasible:
         raise InfeasibleAllocation(_infeasibility_report(problem))
     if sol.status is not SolveStatus.Optimal:
-        detail = (f"pres {sol.primal_residual:.1e} dres {sol.dual_residual:.1e} "
-                  f"gap {sol.gap:.1e} after {sol.iterations} iterations")
-        raise SolverFailure(sol.status, detail)
+        raise SolverFailure(sol)
     x = sol.primal[: problem.size]
     rc = risk_contributions(problem.cov, x)
     binding = np.abs(rc - problem.budgets) <= BINDING_TOL
@@ -334,19 +344,10 @@ PROBLEM_FIELDS = {"cov": "cov", "budgets": "budgets", "forecasts": "forecasts", 
 
 
 def problem_to_json(problem: AllocationProblem) -> str:
-    doc = {
-        "cov": problem.cov.tolist(),
-        "budgets": problem.budgets.tolist(),
-        "forecasts": problem.forecasts.tolist(),
-        "lambda": problem.lam,
-        "mu": problem.mu,
-        "prev_weights": problem.prev_weights.tolist(),
-        "lower": problem.lower.tolist(),
-        "upper": problem.upper.tolist(),
-    }
-    if problem.assets is not None:
-        doc["assets"] = list(problem.assets)
-    return json.dumps(doc, indent=2)
+    doc = {key: getattr(problem, field) for key, field in PROBLEM_FIELDS.items()}
+    if problem.assets is None:
+        del doc["assets"]
+    return json.dumps(doc, indent=2, default=np.ndarray.tolist)
 
 
 def _field_error(path, message):

@@ -30,7 +30,7 @@ from datetime import date
 
 import numpy as np
 
-from .allocation import (AllocationError, AllocationProblem, float_array, portfolio_sd,
+from .allocation import (AllocationError, AllocationProblem, floor_vector, portfolio_sd,
                          require_number, solve_allocation)
 from .data import ParseError, WeeklyPanel, _header_tickers, _opened, _read_rows, returns as panel_returns
 from .linalg import NotPositiveDefinite, covariance, psd_from_eig, symmetric_eig
@@ -106,9 +106,7 @@ class BacktestConfig:
             if self.budgets != HALF_NORM_CUM_RETURN:
                 raise ValueError(f"unknown budget rule {self.budgets!r}")
         elif self.budgets is not None:
-            self.budgets = b = float_array("budgets", self.budgets).ravel()
-            if not np.isfinite(b).all() or np.any(b < 0) or b.sum() > 1.0 + 1e-12:
-                raise ValueError("budgets must be finite, nonnegative and sum to at most 1")
+            self.budgets = floor_vector(self.budgets)
         if self.strategy not in BENCHMARKS and self.budgets is None:
             raise ValueError(f"{self.strategy} requires budgets (vector or "
                              f"{HALF_NORM_CUM_RETURN!r})")

@@ -4,11 +4,13 @@ Subcommands:
 
 ``riskbudget solve --config problem.json [--tol T] [--max-iters K]``
     Solve one allocation problem (schema documented in
-    :mod:`riskbudget.allocation`); prints one JSON document, the result or
-    an infeasibility report. Exit code 0 on an optimal solution, 2 when the
-    problem is infeasible, 1 on any other error, such as a ``--tol`` not
-    finite and > 0, a negative ``--max-iters``, a bad document field or an
-    unknown key.
+    :mod:`riskbudget.allocation`); prints one JSON document for every
+    outcome of the solve: the result, an infeasibility report, or, when the
+    solver stops at ``max_iters`` or ``numerical_failure``, that status with
+    the solver statistics. Exit code 0 on an optimal solution, 2 when the
+    problem is infeasible, 1 on a solver stop or any other error, such as a
+    ``--tol`` not finite and > 0, a negative ``--max-iters``, a bad document
+    field or an unknown key.
 
 ``riskbudget backtest --prices prices.csv --config config.json --out-dir DIR
 [--strategies CRB,MRB,...] [--tol T] [--max-iters K]``
@@ -29,9 +31,10 @@ Subcommands:
     a negative ``--top``, exit 1.
 
 Errors have one path: they leave the command and :func:`main` prints one
-``error: <message>`` line to stderr and exits 1. The one exception a
-command catches is ``solve``'s infeasible problem, reported as JSON with
-exit 2. The only environment variable honored is ``RISKBUDGET_LOG_LEVEL``.
+``error: <message>`` line to stderr and exits 1. The exceptions a command
+catches are ``solve``'s outcomes: an infeasible problem, reported as JSON
+with exit 2, and a solver stop, reported as JSON with exit 1. The only
+environment variable honored is ``RISKBUDGET_LOG_LEVEL``.
 Output files are written atomically (temp file + rename). Identical
 inputs give byte-identical outputs; the manifest's timestamp is the one
 exception.
@@ -53,7 +56,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import __version__
-from .allocation import InfeasibleAllocation, problem_from_json, solve_allocation
+from .allocation import InfeasibleAllocation, SolverFailure, problem_from_json, solve_allocation
 from .analytics import (
     align_rows,
     drawdown_table_rows,
@@ -146,24 +149,27 @@ def cmd_solve(args) -> int:
     except InfeasibleAllocation as exc:
         print(json.dumps({"status": "infeasible", "report": exc.report}, indent=2))
         return EXIT_INFEASIBLE
+    except SolverFailure as exc:
+        print(json.dumps({"status": exc.status.value, "solver": _solver_stats(exc.solution)}, indent=2))
+        return EXIT_ERROR
 
     names = [problem.asset_name(i) for i in range(problem.size)]
-    stats = result.solver_stats
     doc = {
         "status": "optimal",
         "objective": result.objective,
         "weights": dict(zip(names, result.weights.tolist())),
         "risk_contributions": dict(zip(names, result.risk_contribs.tolist())),
         "binding_budgets": dict(zip(names, (bool(v) for v in result.binding_budgets))),
-        "solver": {
-            "iterations": stats.iterations,
-            "primal_residual": stats.primal_residual,
-            "dual_residual": stats.dual_residual,
-            "relative_gap": stats.gap,
-        },
+        "solver": _solver_stats(result.solver_stats),
     }
     print(json.dumps(doc, indent=2))
     return EXIT_OK
+
+
+def _solver_stats(sol) -> dict:
+    """The statistics of the :class:`ConeSolution` ``sol`` as ``solve`` prints them."""
+    return {"iterations": sol.iterations, "primal_residual": sol.primal_residual,
+            "dual_residual": sol.dual_residual, "relative_gap": sol.gap}
 
 
 # backtest config keys and the BacktestConfig fields they set

@@ -15,6 +15,7 @@ import math
 import os
 from dataclasses import dataclass
 from datetime import date
+from statistics import median_low
 
 import numpy as np
 
@@ -192,11 +193,6 @@ def load_csv(source, ticker: str | None = None) -> dict[str, PriceSeries]:
     return out
 
 
-def _lower_median(values: list[float]) -> float:
-    ordered = sorted(values)
-    return ordered[(len(ordered) - 1) // 2]
-
-
 def to_weekly(daily: dict[str, PriceSeries]) -> WeeklyPanel:
     """Resample daily closes to one lower-median price per ISO week.
 
@@ -212,7 +208,7 @@ def to_weekly(daily: dict[str, PriceSeries]) -> WeeklyPanel:
         for day, close in zip(series.dates, series.closes):
             iso = day.isocalendar()
             buckets.setdefault((iso[0], iso[1]), []).append(float(close))
-        per_asset[name] = {week: _lower_median(vals) for week, vals in buckets.items()}
+        per_asset[name] = {week: median_low(vals) for week, vals in buckets.items()}
 
     tickers = sorted(per_asset)
     common = set.intersection(*(set(w) for w in per_asset.values()))

@@ -15,8 +15,9 @@ embedding yields clean infeasibility/unboundedness certificates instead of
 numerical breakdown when the constraints conflict.
 
 ``A`` is held as a :class:`RowMatrix`, every row a scaled copy of a row of
-a small dense matrix ``K``, and the solver touches it only through
-``A @ x``, ``A.rmatvec(z)``, row norms and the Gram ``G' W^-2 G``. A
+a small dense matrix ``K``. The solver splits off the equality rows and
+the cone rows ``G``, a :class:`RowMatrix` on the same ``K``, and touches
+``G`` only through ``G @ x``, ``G.rmatvec(z)`` and the Gram ``G' W^-2 G``. A
 program built from a few row patterns, such as the allocation program
 (``n`` cone blocks made of the rows of ``I + C``, ``I - C`` and ``R``),
 therefore solves in memory of the size of ``K``.
@@ -126,17 +127,6 @@ class RowMatrix:
     def rmatvec(self, z: np.ndarray) -> np.ndarray:
         """``A' z``."""
         return self.K.T @ np.bincount(self.idx, self.scale * z, minlength=self.K.shape[0])
-
-    def row_norms(self) -> np.ndarray:
-        return np.abs(self.scale) * np.linalg.norm(self.K, axis=1)[self.idx]
-
-    def take(self, rows) -> RowMatrix:
-        """The rows ``rows`` of this matrix, sharing ``K``."""
-        return RowMatrix(self.K, self.idx[rows], self.scale[rows])
-
-    def divide_rows(self, d: np.ndarray) -> RowMatrix:
-        """``diag(1/d) @ A``, sharing ``K``."""
-        return RowMatrix(self.K, self.idx, self.scale / d)
 
     def toarray(self) -> np.ndarray:
         return self.scale[:, None] * self.K[self.idx]
@@ -313,8 +303,8 @@ def solve(p: ConeProgram, opts: SolverOptions | None = None) -> ConeSolution:
     struct = p.structure
     zero_rows, cone_rows = struct.zero_rows, struct.cone_rows
     n = p.c.size
-    aeq, beq = p.A.take(zero_rows).toarray(), p.b[zero_rows]
-    g, h = p.A.take(cone_rows), p.b[cone_rows]
+    kmat, idx, scale = p.A.K, p.A.idx, p.A.scale
+    aeq, beq = scale[zero_rows, None] * kmat[idx[zero_rows]], p.b[zero_rows]
     m = struct.dim
     c = p.c
 
@@ -328,15 +318,15 @@ def solve(p: ConeProgram, opts: SolverOptions | None = None) -> ConeSolution:
     # floors near 1e-200 on the allocation program) would drag the
     # geometric mean down by as many orders of magnitude; a block with no
     # live row sums no logarithm, so keeps exp(0) = 1
-    soc_norms = g.row_norms()[struct.nnn :]
+    soc_norms = (np.abs(scale) * np.linalg.norm(kmat, axis=1)[idx])[cone_rows[struct.nnn :]]
     live = soc_norms > np.finfo(float).eps * struct.blockmax(soc_norms)[struct.block]
     log_sum = struct.blocksum(np.log(np.where(live, soc_norms, 1.0)))
     d_cone = np.ones(m)
     d_cone[struct.nnn :] = np.exp(log_sum / np.maximum(struct.blocksum(live), 1))[struct.block]
     aeq = aeq / d_eq[:, None]
     beq = beq / d_eq
-    g = g.divide_rows(d_cone)
-    h = h / d_cone
+    g = RowMatrix(kmat, idx[cone_rows], scale[cone_rows] / d_cone)
+    h = p.b[cone_rows] / d_cone
     plan = GramPlan(struct, g, aeq)
     norm_beq_orig = 1.0 + np.linalg.norm(p.b[zero_rows])
     norm_h_orig = 1.0 + np.linalg.norm(p.b[cone_rows])

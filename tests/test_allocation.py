@@ -6,6 +6,7 @@ import pytest
 from riskbudget.allocation import (
     AllocationProblem,
     InfeasibleAllocation,
+    SolverFailure,
     build_program,
     expected_stats,
     problem_from_json,
@@ -15,7 +16,7 @@ from riskbudget.allocation import (
 from riskbudget.backtest import DEFAULT_SOLVER_OPTIONS
 from riskbudget.budgeting import solve_vanilla
 from riskbudget.cones import NonNeg, SecondOrder
-from riskbudget.solver import SolveStatus
+from riskbudget.solver import SolverOptions, SolveStatus
 
 
 def random_pd(n, rng, scale=0.03):
@@ -192,6 +193,15 @@ class TestSolveAllocation:
             solve_allocation(p)
         assert any("lower bounds" in msg for msg in exc.value.report)
 
+    def test_solver_failure_carries_the_solution_it_stopped_with(self):
+        p = AllocationProblem(cov=[[0.04, 0.001], [0.001, 0.0025]], budgets=[0.4, 0.1])
+        with pytest.raises(SolverFailure) as exc:
+            solve_allocation(p, SolverOptions(tol=1e-7, max_iters=3))
+        sol = exc.value.solution
+        assert exc.value.status is sol.status is SolveStatus.MaxIters and sol.iterations == 3
+        assert str(exc.value) == (f"solver stopped with status max_iters (pres {sol.primal_residual:.1e} "
+                                  f"dres {sol.dual_residual:.1e} gap {sol.gap:.1e} after 3 iterations)")
+
     def test_risk_parity_limit(self):
         rng = np.random.default_rng(3)
         for n in (3, 10):
@@ -283,6 +293,78 @@ class TestJson:
         assert np.array_equal(q.budgets, p.budgets)
         assert q.lam == p.lam and q.mu == p.mu
         assert q.assets == p.assets
+
+    # the text problem_to_json has always written, key order and
+    # indentation included
+    FULL_TEXT = """{
+  "cov": [
+    [
+      0.04,
+      0.002
+    ],
+    [
+      0.002,
+      0.0025
+    ]
+  ],
+  "budgets": [
+    0.4,
+    0.1
+  ],
+  "forecasts": [
+    0.004,
+    0.0005
+  ],
+  "lambda": 2.0,
+  "mu": 0.001,
+  "prev_weights": [
+    0.5,
+    0.5
+  ],
+  "lower": [
+    0.0,
+    0.1
+  ],
+  "upper": [
+    Infinity,
+    1.0
+  ],
+  "assets": [
+    "SPY",
+    "AGG"
+  ]
+}"""
+    DEFAULTS_TEXT = """{
+  "cov": [
+    [
+      0.04
+    ]
+  ],
+  "budgets": [
+    0.5
+  ],
+  "forecasts": [
+    0.0
+  ],
+  "lambda": 1.0,
+  "mu": 0.0,
+  "prev_weights": [
+    0.0
+  ],
+  "lower": [
+    0.0
+  ],
+  "upper": [
+    1.0
+  ]
+}"""
+
+    def test_written_text_is_stable(self):
+        full = AllocationProblem(cov=[[0.04, 0.002], [0.002, 0.0025]], budgets=[0.4, 0.1],
+                                 forecasts=[0.004, 0.0005], lam=2.0, mu=0.001, prev_weights=[0.5, 0.5],
+                                 lower=[0.0, 0.1], upper=[np.inf, 1.0], assets=("SPY", "AGG"))
+        assert problem_to_json(full) == self.FULL_TEXT
+        assert problem_to_json(AllocationProblem(cov=[[0.04]], budgets=[0.5])) == self.DEFAULTS_TEXT
 
     def test_missing_required_field_path(self):
         with pytest.raises(ValueError, match="budgets"):

@@ -18,7 +18,7 @@ from riskbudget.backtest import (
     run,
     strategy_weights,
 )
-from riskbudget.allocation import InfeasibleAllocation
+from riskbudget.allocation import AllocationProblem, InfeasibleAllocation
 from riskbudget.cli import main
 from riskbudget.data import ParseError, load_csv, to_weekly
 
@@ -127,14 +127,23 @@ class TestConfigValidation:
         ({"psd_eps": np.nan}, "psd_eps must be a finite number >= 0, got nan"),
         ({"psd_eps": -1e-8}, "psd_eps must be a finite number >= 0"),
         ({"budgets": "half_norm"}, "unknown budget rule 'half_norm'"),
-        ({"budgets": [0.5, np.nan]}, "budgets must be finite, nonnegative and sum to at most 1"),
-        ({"budgets": [0.5, -0.1]}, "budgets must be finite, nonnegative and sum to at most 1"),
-        ({"budgets": [0.6, 0.5]}, "budgets must be finite, nonnegative and sum to at most 1"),
+        ({"budgets": [0.5, np.nan]}, "budgets has non-finite entries"),
+        ({"budgets": [0.5, -0.1]}, "budgets must be nonnegative"),
+        ({"budgets": [0.6, 0.5]}, "budgets sum to 1.1 > 1"),
         ({"budgets": None}, "MRB requires budgets"),
     ])
     def test_construction_rejects(self, fields, message):
         with pytest.raises(ValueError, match=message):
             BacktestConfig(**{"strategy": "MRB", "budgets": [0.5, 0.5], **fields})
+
+    @pytest.mark.parametrize("budgets", [[0.5, np.nan], [0.5, -0.1], [0.6, 0.5]])
+    def test_floors_are_refused_as_a_problem_refuses_them(self, budgets):
+        with pytest.raises(ValueError) as problem:
+            AllocationProblem(cov=np.eye(2), budgets=budgets)
+        with pytest.raises(ValueError) as config:
+            BacktestConfig(strategy="MRB", budgets=budgets)
+        assert str(config.value) == str(problem.value)
+        assert str(problem.value).startswith("budgets ")
 
     def test_numbers_of_any_real_type_accepted(self):
         cfg = BacktestConfig(strategy="MRBAL", budgets=[0.5, 0.5], lam=0, mu=np.float64(0.001),

@@ -120,10 +120,14 @@ class TestSolveCommand:
         rc = main(["solve", "--config", write_problem(tmp_path, doc),
                    "--tol", "1e-7", "--max-iters", "3"])
         assert seen == [SolverOptions(tol=1e-7, max_iters=3)]
-        # three iterations do not reach 1e-7, and the solve says so
+        # three iterations do not reach 1e-7, and the solve says so in one
+        # JSON document on stdout
         assert rc == 1
-        err = capsys.readouterr().err
-        assert "status max_iters" in err and "after 3 iterations" in err
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        report = json.loads(captured.out)
+        assert report["status"] == "max_iters" and report["solver"]["iterations"] == 3
+        assert set(report["solver"]) == {"iterations", "primal_residual", "dual_residual", "relative_gap"}
 
     def test_nan_lambda_exits_1_naming_the_field(self, tmp_path, capsys):
         path = tmp_path / "problem.json"

@@ -21,6 +21,15 @@ def nt_scaling(struct, s, z):
     return NTScaling(struct, s, z, struct.jdot(sz, sz))
 
 
+def split_rows(prog):
+    """``(G, Aeq)``: the cone rows of ``prog`` as a :class:`RowMatrix` on its
+    ``K`` and its equality rows dense, as the solver splits them before it
+    equilibrates."""
+    a, struct = prog.A, prog.structure
+    g = RowMatrix(a.K, a.idx[struct.cone_rows], a.scale[struct.cone_rows])
+    return g, np.asarray(RowMatrix(a.K, a.idx[struct.zero_rows], a.scale[struct.zero_rows]))
+
+
 LAYOUTS = [
     [NonNeg(3), SecondOrder(4), Zero(2), SecondOrder(2)],
     # nonneg rows between and after second-order blocks, which the
@@ -115,8 +124,7 @@ def test_gram_plan_finds_the_diagonal_columns():
     for mu in (0.001, 0.0):
         prog = build_program(AllocationProblem(cov=a @ a.T / n + np.eye(n), budgets=np.full(n, 0.1),
                                                mu=mu))
-        struct = prog.structure
-        plan = GramPlan(struct, prog.A.take(struct.cone_rows), prog.A.take(struct.zero_rows).toarray())
+        plan = GramPlan(prog.structure, *split_rows(prog))
         # x and t are kept, and the 2n turnover columns after them go
         assert (plan.k, plan.ncols) == (n + 1, 3 * n + 1 if mu else n + 1)
     # one-entry rows only: as nonneg rows every column is eliminable, but
@@ -167,7 +175,7 @@ def test_allocation_program_lies_in_canonical_order(n, lam, mu):
                                            prev_weights=rng.dirichlet(np.ones(n))))
     struct = prog.structure
     assert np.all(np.diff(struct.cone_rows) > 0)
-    plan = GramPlan(struct, prog.A.take(struct.cone_rows), prog.A.take(struct.zero_rows).toarray())
+    plan = GramPlan(struct, *split_rows(prog))
     elim = eliminable(prog)
     assert not elim[: plan.k].any() and elim[plan.k :].all()
     # the turnover split columns, and no others
@@ -253,9 +261,9 @@ def test_gram_matches_the_scalings_own_inverse_square_near_the_boundary():
             forecasts=rng.normal(0.0, 0.01, n), lam=float(rng.choice([0.0, 1.0])),
             mu=float(rng.choice([0.0, 1e-3])), prev_weights=rng.dirichlet(np.ones(n))))
         struct = prog.structure
-        g = prog.A.take(struct.cone_rows)
+        g, aeq = split_rows(prog)
         w = nt_scaling(struct, near_boundary(struct, rng), near_boundary(struct, rng))
-        plan = GramPlan(struct, g, prog.A.take(struct.zero_rows).toarray())
+        plan = GramPlan(struct, g, aeq)
         dense = np.asarray(g)
         ref = dense.T @ np.column_stack([w.apply_inv_sq(col) for col in dense.T])
         scale = np.abs(ref).max()

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from test_cones import nt_scaling, random_interior
+from test_cones import nt_scaling, random_interior, split_rows
 
 from riskbudget import solver as solver_module
 from riskbudget.allocation import AllocationProblem, build_program, problem_from_json
@@ -310,8 +310,7 @@ def _kkt(prog, seed=9):
     """``_KKT`` at a random interior scaling, with the program's cone rows and
     equality rows, and a random right-hand side."""
     struct = prog.structure
-    aeq = prog.A.take(struct.zero_rows).toarray()
-    g = prog.A.take(struct.cone_rows)
+    g, aeq = split_rows(prog)
     rng = np.random.default_rng(seed)
     w = nt_scaling(struct, random_interior(struct, rng), random_interior(struct, rng))
     kkt = solver_module._KKT(GramPlan(struct, g, aeq), aeq, g, w, 2)
@@ -406,8 +405,7 @@ def test_an_eliminable_column_ahead_of_a_kept_one_stays_in_the_lu():
     prog = ConeProgram(c=c, A=a, b=b, cones=cones)
     ks = []
     for p in (prog, twin):
-        struct = p.structure
-        ks.append(GramPlan(struct, p.A.take(struct.cone_rows), p.A.take(struct.zero_rows).toarray()).k)
+        ks.append(GramPlan(p.structure, *split_rows(p)).k)
     assert ks == [4, 3]
     sol, twin_sol = solve(prog), solve(twin)
     assert sol.status is twin_sol.status is SolveStatus.Optimal
