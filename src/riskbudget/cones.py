@@ -81,7 +81,6 @@ class ConeStructure:
         # block starts within the suffix, and within the whole cone vector
         self._starts = np.cumsum(soc_dims) - soc_dims
         self.soc_starts = nnn + self._starts
-        self.soc_slices = list(zip(self.soc_starts.tolist(), (self.soc_starts + soc_dims).tolist()))
         # barrier degree: 1 per nonneg component, 1 per second-order block
         self.degree = nnn + soc_dims.size
 
@@ -248,42 +247,40 @@ class NTScaling:
         W^{-2} is taken in the form ``apply_inv_sq`` uses: ``w^-2 * negj``
         on the diagonal (negative on the block heads) plus, per SecondOrder
         block, the rank-one term ``2 q q' / eta^2`` with ``q = J(v o v)``.
-        The diagonal part is ``K' diag(bincount(idx, scale^2 w^-2 negj)) K``,
-        which ``plan`` splits into a diagonal from the rows of K with one
-        nonzero and one weighted product over the other rows on their column
-        support. The rank-one part needs ``a_k = G_k' q_k``, a product of the
+        The diagonal part is ``K' diag(bincount(idx, scale^2 w^-2 negj)) K``:
+        one weighted product of the plan's kept rows of K on the kept
+        columns, and a ``bincount`` of its one-entry rows on the eliminated
+        ones. The rank-one part needs ``a_k = G_k' q_k``, a product of the
         rows of K that second-order rows copy with a (those rows) x (blocks)
-        matrix gathered with ``bincount``. No matrix with a row per row of
-        G, or over all columns, is formed.
+        matrix gathered with ``bincount``, added to the same kept block.
+        No matrix with a row per row of G, or over all columns, is formed.
         """
         st = self.struct
-        n = plan.k
         weight = np.bincount(plan.idx, plan.scale_sq * self.w_inv_sq * st.negj,
                              minlength=plan.nrows)
-        diag = np.bincount(plan.single_col, weight[plan.single] * plan.single_sq,
-                           minlength=plan.ncols)
-        h = np.zeros((n, n))
-        h.flat[:: n + 1] = diag[:n]
-        h[plan.multi_ix] += (plan.multi_k * weight[plan.multi][:, None]).T @ plan.multi_k
+        h = (plan.kept_k.T * weight[plan.kept_rows]) @ plan.kept_k
         k = self.eta.size
         if k:
             gathered = np.bincount(plan.cell, plan.soc_scale * self._jvsq,
                                    minlength=plan.soc_k.shape[0] * k)
             amat = plan.soc_k.T @ gathered.reshape(-1, k)
-            h[plan.soc_ix] += (amat * (2.0 * self.w_inv_sq[st.soc_starts])) @ amat.T
-        return 0.5 * (h + h.T), diag[n:]
+            h += (amat * (2.0 * self.w_inv_sq[st.soc_starts])) @ amat.T
+        h_elim = np.bincount(plan.elim_col, weight[plan.elim_row] * plan.elim_sq,
+                             minlength=plan.ncols - plan.k)
+        return h, h_elim
 
 
 class GramPlan:
-    """The column partition of a solve, and where the Gram ``G' W^-2 G`` of
-    cone rows ``G = diag(scale) K[idx]`` has work.
+    """The column partition of a solve, and the rows of K that the Gram
+    ``G' W^-2 G`` of cone rows ``G = diag(scale) K[idx]`` reads.
 
     Built once per solve from ``g`` (a :class:`riskbudget.solver.RowMatrix`
     over the cone rows of ``struct``) and the equality rows ``aeq``; only
-    the weights change between iterations. A column that only one-entry
-    rows with a nonzero factor reach has a positive Gram diagonal coupled
-    to nothing else; if it also meets at most one equality row, it is
-    eliminable. The KKT solve eliminates the trailing run of eliminable
+    the weights change between iterations. A cone row with a zero factor
+    is a zero row of G and counts as none. A column that one-entry NonNeg
+    rows reach, and no other cone row, has a positive Gram diagonal
+    coupled to nothing else; if it also meets at most one equality row, it
+    is eliminable. The KKT solve eliminates the trailing run of eliminable
     columns ``[k:]`` with a diagonal Schur term, the product of the squares
     ``aeq_elim_sq`` of ``aeq_elim`` with the inverse eliminated diagonal,
     and keeps the columns ``[:k]``: an eliminable column ahead of the last
@@ -291,12 +288,12 @@ class GramPlan:
     turnover the 2n turnover columns, last in its column order with one
     turnover row each, are eliminated.
 
-    A row of K that no cone row copies carries no weight. Of the rest, a
-    row with one nonzero adds a diagonal entry only, and the rows with
-    more add ``K' D K`` on their column support. The rank-one terms reach
-    only the rows of K that second-order rows copy, on those rows' column
-    support. Both supports lie in the kept columns: for the allocation
-    program, the n asset columns and the epigraph column.
+    The Gram reads two sets of the rows of K that cone rows copy: those
+    that reach the kept columns, one dense block ``kept_k = K[kept_rows,
+    :k]``, and the one-entry rows that reach an eliminated column, held as
+    that column ``elim_col`` (counted from ``k``) and their squared entry
+    ``elim_sq``. The rank-one terms read ``soc_k``, the rows that
+    second-order rows copy, on the kept columns.
     """
 
     def __init__(self, struct: ConeStructure, g, aeq: np.ndarray):
@@ -304,31 +301,25 @@ class GramPlan:
         self.nrows, self.ncols = kmat.shape
         self.scale_sq = g.scale * g.scale
         nonzero = kmat != 0
-        used = np.bincount(self.idx, minlength=self.nrows) > 0
-        count = nonzero.sum(axis=1)
-        self.single = np.flatnonzero(used & (count == 1))
-        self.single_col = np.nonzero(nonzero[self.single])[1]
-        self.single_sq = kmat[self.single, self.single_col] ** 2
-        self.multi = np.flatnonzero(used & (count > 1))
-        multi_cols = np.flatnonzero(nonzero[self.multi].any(axis=0))
-        self.multi_k = kmat[np.ix_(self.multi, multi_cols)]
-        # K rows of the second-order suffix
+        # the rows of K that cone rows copy with a nonzero factor, and those of
+        # them that couple columns: more than one entry, or a second-order copy
+        carried = np.bincount(self.idx, self.scale_sq, minlength=self.nrows) > 0
         soc_idx = self.idx[struct.nnn :]
-        soc_k = np.flatnonzero(np.bincount(soc_idx, minlength=self.nrows))
-        soc_cols = np.flatnonzero(nonzero[soc_k].any(axis=0))
-        self.soc_k = kmat[np.ix_(soc_k, soc_cols)]
-
-        carried = np.bincount(self.idx, self.scale_sq, minlength=self.nrows)[self.single] > 0
-        elim = np.zeros(self.ncols, dtype=bool)
-        elim[self.single_col[carried]] = True
-        elim[multi_cols] = elim[soc_cols] = False
-        elim &= np.count_nonzero(aeq, axis=0) <= 1
+        coupled = carried & (nonzero.sum(axis=1) > 1)
+        coupled[soc_idx[g.scale[struct.nnn :] != 0]] = True
+        elim = (nonzero[carried].any(axis=0) & ~nonzero[coupled].any(axis=0)
+                & (np.count_nonzero(aeq, axis=0) <= 1))
         self.k = k = int(np.flatnonzero(~elim).max(initial=-1)) + 1
         self.aeq_kept, self.aeq_elim = aeq[:, :k], aeq[:, k:]
         self.aeq_elim_sq = self.aeq_elim**2
 
-        self.multi_ix = np.ix_(multi_cols, multi_cols)
-        self.soc_ix = np.ix_(soc_cols, soc_cols)
-        # rank-one terms: the cell (local K row, block) of a_k
-        self.cell = np.searchsorted(soc_k, soc_idx) * struct.soc_starts.size + struct.block
+        self.kept_rows = np.flatnonzero(carried & nonzero[:, :k].any(axis=1))
+        self.kept_k = kmat[self.kept_rows, :k]
+        self.elim_row, self.elim_col = np.nonzero(carried[:, None] & nonzero[:, k:])
+        self.elim_sq = kmat[self.elim_row, k + self.elim_col] ** 2
+        # rank-one terms: the K rows of the second-order suffix, and the cell
+        # (local K row, block) of a_k
+        soc_rows = np.unique(soc_idx)
+        self.soc_k = kmat[soc_rows, :k]
+        self.cell = np.searchsorted(soc_rows, soc_idx) * struct.soc_starts.size + struct.block
         self.soc_scale = g.scale[struct.nnn :]

@@ -468,7 +468,7 @@ def solve(p: ConeProgram, opts: SolverOptions | None = None) -> ConeSolution:
         if not (relgap <= 0.9 * opts.tol and (pres > opts.tol or dres > opts.tol)):
             _, _, aff_sz, aff_tau, aff_kappa = direction(-lsq, -tau * kappa)
             alpha_aff = min(1.0, max_step(aff_sz, aff_tau, aff_kappa))
-            sigma = min(1.0, max(0.0, (1.0 - alpha_aff))) ** 3
+            sigma = (1.0 - alpha_aff) ** 3
             corr = struct.prod(scaling.apply_inv(aff_sz[0]), scaling.apply(aff_sz[1]))
             corr_kappa = aff_tau * aff_kappa
         dx, dy, dsz, dtau, dkappa = direction(-lsq + sigma * mu * e - corr,
@@ -479,7 +479,7 @@ def solve(p: ConeProgram, opts: SolverOptions | None = None) -> ConeSolution:
         alpha = min(1.0, STEP_BACKOFF * max_step(dsz, dtau, dkappa))
         if debug:
             log.debug("        alpha %.3e sigma %.3e mu %.3e", alpha, sigma, mu)
-        if not np.isfinite(alpha) or alpha <= 1e-13:
+        if alpha <= 1e-13:
             break
 
         x += alpha * dx

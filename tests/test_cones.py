@@ -6,10 +6,17 @@ from riskbudget.cones import ConeStructure, GramPlan, NonNeg, NTScaling, SecondO
 from riskbudget.solver import RowMatrix
 
 
+def soc_slices(struct):
+    """``(lo, hi)`` of each second-order block in a cone vector, from the
+    block starts and the block dims."""
+    ends = struct.soc_starts + np.bincount(struct.block, minlength=struct.soc_starts.size)
+    return list(zip(struct.soc_starts.tolist(), ends.tolist()))
+
+
 def random_interior(struct, rng, scale=1.0):
     u = rng.standard_normal(struct.dim) * scale
     u[: struct.nnn] = np.abs(u[: struct.nnn]) + 0.1
-    for lo, hi in struct.soc_slices:
+    for lo, hi in soc_slices(struct):
         u[lo] = np.linalg.norm(u[lo + 1 : hi]) + 0.1 + abs(u[lo])
     return u
 
@@ -51,7 +58,7 @@ def structs():
 def test_structure_layout(struct):
     assert struct.dim == 9
     assert struct.nnn == 3
-    assert struct.soc_slices == [(3, 7), (7, 9)]
+    assert soc_slices(struct) == [(3, 7), (7, 9)]
     assert struct.degree == 5
 
 
@@ -101,7 +108,7 @@ def test_w_squared_in_one_vector_form(structs):
             s = random_interior(struct, rng, scale=size)
             z = random_interior(struct, rng, scale=1.0 / size)
             if size != 1.0:
-                for lo, hi in struct.soc_slices:
+                for lo, hi in soc_slices(struct):
                     s[lo] = np.linalg.norm(s[lo + 1 : hi]) * 1.01
             w = nt_scaling(struct, s, z)
             # v and v o v cover the second-order suffix
@@ -147,16 +154,14 @@ def test_gram_plan_finds_the_diagonal_columns():
     assert GramPlan(ConeStructure([NonNeg(2)]), g, np.zeros((0, 2))).k == 1
 
 
-def eliminable(prog):
-    """The columns the KKT solve could eliminate, read off the dense matrix:
-    reached by some one-entry nonneg row, by no other cone row, and by at
-    most one equality row."""
-    struct = prog.structure
-    a = np.asarray(prog.A)
-    reach = a[struct.cone_rows] != 0
+def eliminable(struct, g, aeq):
+    """The columns the KKT solve could eliminate, read off the dense cone
+    rows ``g`` and equality rows ``aeq``: reached by some one-entry nonneg
+    row, by no other cone row, and by at most one equality row."""
+    reach = g != 0
     unit = (reach.sum(axis=1) == 1) & (np.arange(struct.dim) < struct.nnn)
     return (reach[unit].any(axis=0) & ~reach[~unit].any(axis=0)
-            & (np.count_nonzero(a[struct.zero_rows], axis=0) <= 1))
+            & (np.count_nonzero(aeq, axis=0) <= 1))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 16])
@@ -175,8 +180,9 @@ def test_allocation_program_lies_in_canonical_order(n, lam, mu):
                                            prev_weights=rng.dirichlet(np.ones(n))))
     struct = prog.structure
     assert np.all(np.diff(struct.cone_rows) > 0)
-    plan = GramPlan(struct, *split_rows(prog))
-    elim = eliminable(prog)
+    g, aeq = split_rows(prog)
+    plan = GramPlan(struct, g, aeq)
+    elim = eliminable(struct, np.asarray(g), aeq)
     assert not elim[: plan.k].any() and elim[plan.k :].all()
     # the turnover split columns, and no others
     assert plan.ncols - plan.k == (2 * n if mu else 0)
@@ -243,7 +249,7 @@ def near_boundary(struct, rng):
     1e-2 of their squared head, and nonneg rows over six orders."""
     u = rng.standard_normal(struct.dim)
     u[: struct.nnn] = 10.0 ** rng.uniform(-3, 3, struct.nnn)
-    for lo, hi in struct.soc_slices:
+    for lo, hi in soc_slices(struct):
         u[lo] = np.linalg.norm(u[lo + 1 : hi]) * np.sqrt(1.0 + 10.0 ** rng.uniform(-12, -2))
     return u
 
@@ -331,7 +337,7 @@ def test_pair_pass_equals_the_per_vector_calls(blocks):
 
 def loop_prod(struct, u, v):
     out = u * v
-    for lo, hi in struct.soc_slices:
+    for lo, hi in soc_slices(struct):
         out[lo] = u[lo] * v[lo] + u[lo + 1 : hi] @ v[lo + 1 : hi]
         out[lo + 1 : hi] = u[lo] * v[lo + 1 : hi] + v[lo] * u[lo + 1 : hi]
     return out
@@ -339,7 +345,7 @@ def loop_prod(struct, u, v):
 
 def loop_div(struct, lmbda, d):
     out = d / lmbda
-    for lo, hi in struct.soc_slices:
+    for lo, hi in soc_slices(struct):
         l0, l1, d0, d1 = lmbda[lo], lmbda[lo + 1 : hi], d[lo], d[lo + 1 : hi]
         w0 = (l0 * d0 - l1 @ d1) / (l0 * l0 - l1 @ l1)
         out[lo] = w0
@@ -348,7 +354,7 @@ def loop_div(struct, lmbda, d):
 
 
 def loop_margin(struct, u):
-    socs = [u[lo] - np.linalg.norm(u[lo + 1 : hi]) for lo, hi in struct.soc_slices]
+    socs = [u[lo] - np.linalg.norm(u[lo + 1 : hi]) for lo, hi in soc_slices(struct)]
     return min(socs + list(u[: struct.nnn]))
 
 
@@ -376,14 +382,14 @@ def loop_max_step(struct, u, du):
     neg = dn < 0
     if np.any(neg):
         alpha = float(np.min(-un[neg] / dn[neg]))
-    for lo, hi in struct.soc_slices:
+    for lo, hi in soc_slices(struct):
         alpha = min(alpha, loop_soc_step(u[lo], u[lo + 1 : hi], du[lo], du[lo + 1 : hi]))
     return alpha
 
 
 def loop_scaling_point(struct, s, z):
     eta, v_all = [], np.zeros(struct.dim)
-    for lo, hi in struct.soc_slices:
+    for lo, hi in soc_slices(struct):
         ds = np.sqrt(s[lo] ** 2 - s[lo + 1 : hi] @ s[lo + 1 : hi])
         dz = np.sqrt(z[lo] ** 2 - z[lo + 1 : hi] @ z[lo + 1 : hi])
         sb, zb = s[lo:hi] / ds, z[lo:hi] / dz

@@ -15,12 +15,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from test_cones import brute_gram, eliminable, full_gram, nt_scaling, random_interior, soc_slices
 
 from riskbudget.allocation import AllocationProblem, build_program, solve_allocation
 from riskbudget.backtest import DEFAULT_SOLVER_OPTIONS, BacktestLedger, ledger_from_csv, ledger_to_csv
 from riskbudget.data import ParseError, WeeklyPanel, panel_from_csv, panel_to_csv
-from riskbudget.cones import ConeStructure, NonNeg, SecondOrder, Zero
-from riskbudget.solver import ConeProgram, SolveStatus, solve
+from riskbudget.cones import ConeStructure, GramPlan, NonNeg, SecondOrder, Zero
+from riskbudget.solver import ConeProgram, RowMatrix, SolveStatus, solve
 
 TOL = 1e-8
 # headroom over the solver's own test for recomputing a residual from the
@@ -245,12 +246,37 @@ def test_structure_matches_a_row_walk(blocks):
     assert list(struct.cone_rows) == nonneg + soc_rows
     assert struct.dim == len(nonneg) + len(soc_rows)
     assert struct.nnn == len(nonneg)
-    assert struct.soc_slices == soc
+    assert soc_slices(struct) == soc
     assert list(struct.soc_starts) == [lo for lo, _ in soc]
     assert struct.degree == len(nonneg) + len(soc)
     for k, (lo, hi) in enumerate(soc):
         assert (struct.block[lo - struct.nnn : hi - struct.nnn] == k).all()
 
+
+
+@PROPERTY
+@given(blocks=layouts(), n=st.integers(1, 5), seed=seeds)
+def test_gram_and_column_partition_match_the_dense_rows(blocks, n, seed):
+    # K holds n unit rows, n rows with any number of entries and an
+    # all-zero row; cone rows copy unit rows more often than the others,
+    # some with a zero factor, and some rows of K no cone row copies
+    rng = np.random.default_rng(seed)
+    struct = ConeStructure(blocks)
+    kmat = np.vstack([np.diag(rng.uniform(0.5, 2.0, n)),
+                      rng.standard_normal((n, n)) * (rng.random((n, n)) < 0.3),
+                      np.zeros((1, n))])
+    idx = np.where(rng.random(struct.dim) < 0.6, rng.integers(0, n, struct.dim),
+                   rng.integers(0, 2 * n + 1, struct.dim))
+    factor = rng.standard_normal(struct.dim) * (rng.random(struct.dim) < 0.7)
+    g = RowMatrix(kmat, idx, factor)
+    m = zero_dims(blocks)
+    aeq = rng.standard_normal((m, n)) * (rng.random((m, n)) < 0.4)
+    plan = GramPlan(struct, g, aeq)
+    w = nt_scaling(struct, random_interior(struct, rng), random_interior(struct, rng))
+    brute = brute_gram(w, g)
+    assert np.abs(full_gram(w, plan) - brute).max() <= 1e-12 * np.abs(brute).max()
+    elim = eliminable(struct, np.asarray(g), aeq)
+    assert plan.k == int(np.flatnonzero(~elim).max(initial=-1)) + 1
 
 def floor_residuals(cov, budgets, x):
     """Distance outside its cone of each floor block ``(x_i + (Cx)_i,

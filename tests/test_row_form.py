@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from allocation_oracle import dense_program
-from test_cones import full_gram, nt_scaling, split_rows
+from test_cones import full_gram, nt_scaling, random_interior, split_rows
 from riskbudget.allocation import AllocationProblem, build_program
 from riskbudget.cones import ConeStructure, GramPlan
 from riskbudget.solver import RowMatrix
@@ -35,14 +35,6 @@ def problems(draw):
                              forecasts=rng.normal(0.0, 0.01, n), lam=lam, mu=mu,
                              prev_weights=rng.dirichlet(np.ones(n)),
                              lower=rng.uniform(0.0, 0.2 / n, n), upper=upper)
-
-
-def interior(struct, rng):
-    u = rng.standard_normal(struct.dim)
-    u[: struct.nnn] = np.abs(u[: struct.nnn]) + 0.1
-    for lo, hi in struct.soc_slices:
-        u[lo] = np.linalg.norm(u[lo + 1 : hi]) + 0.1 + abs(u[lo])
-    return u
 
 
 @PROPERTY
@@ -76,7 +68,7 @@ def test_gram_matches_dense(problem, seed):
     _, a, _, cones = dense_program(problem)
     struct = ConeStructure(cones)
     keep = struct.cone_rows
-    w = nt_scaling(struct, interior(struct, rng), interior(struct, rng))
+    w = nt_scaling(struct, random_interior(struct, rng), random_interior(struct, rng))
     aeq = np.delete(a, keep, axis=0)
     h = full_gram(w, GramPlan(struct, split_rows(build_program(problem))[0], aeq))
     g = a[keep]
